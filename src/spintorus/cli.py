@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, RunConfig, config_from_dict, load_config
 from .dirac import dirac_spectrum_numeric, kernel_dimension, DENSE_GRID_CAP
-from .fields import lp_norm
+from .fields import l2_norm, lp_norm
 from .functional import (
     DegenerateFieldError,
     IterationLimitError,
@@ -35,6 +35,7 @@ from .solver import (
     ContinuationError,
     Solution,
     lambda_consistency,
+    residual_field,
     solve_at_exponent,
     solve_critical,
 )
@@ -285,8 +286,12 @@ def cmd_check(cfg: RunConfig, args) -> int:
     sol = _load_solution(args.solution)
     phi = sol.phi
     tol_solve = cfg.tol_solve if cfg.tol_solve is not None else 1e-9 * phi.n_grid
+    try:
+        residual = l2_norm(residual_field(phi, sol.lam, sol.p))
+    except ValueError as exc:
+        raise ConfigError(f"solution file {args.solution}: {exc}") from exc
     checks = CheckReport()
-    checks.add("residual", sol.residual, tol_solve, sol.residual <= tol_solve)
+    checks.add("residual", residual, tol_solve, residual <= tol_solve)
     checks.add(
         "norm_p deviation",
         abs(lp_norm(phi, sol.p) - 1.0),

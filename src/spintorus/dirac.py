@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .fields import SpinorField, l2_norm, mode_vectors
 from .lattice import Lattice, SpinStructure
@@ -78,6 +77,8 @@ class EigenPair:
 
 @lru_cache(maxsize=8)
 def _dft_pair(n: int):
+    import scipy.linalg
+
     f1 = scipy.linalg.dft(n)  # unnormalized forward DFT
     fwd = np.kron(f1, f1)
     return fwd, fwd.conj().T / n**2
@@ -109,6 +110,8 @@ def dirac_spectrum_numeric(
         raise ValueError(f"requested {k} eigenpairs from a {dim}-dimensional space")
     if n_grid > DENSE_GRID_CAP:
         raise ValueError(f"dense diagonalization capped at N={DENSE_GRID_CAP}")
+    import scipy.linalg
+
     mat = dirac_dense_matrix(lat, spin, n_grid)
     vals, vecs = scipy.linalg.eigh(mat, check_finite=False)
     order = np.lexsort((vals, np.abs(vals)))[:k]

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .dirac import apply_dirac, apply_dirac_arrays, project_out_kernel
 from .fields import (
@@ -142,6 +141,8 @@ def _unpack(x, n):
 
 
 def _minres(op, b, rtol, maxiter, M=None):
+    import scipy.sparse.linalg
+
     kwargs = {"maxiter": maxiter, "M": M}
     try:
         x, _ = scipy.sparse.linalg.minres(op, b, rtol=rtol, **kwargs)
@@ -152,6 +153,8 @@ def _minres(op, b, rtol, maxiter, M=None):
 
 def _fourier_preconditioner(lat, spin, n, shift, n_extra):
     """SPD approximate inverse: modewise 1/(2 pi |xi| + shift) on both components."""
+    import scipy.sparse.linalg
+
     xi_x, xi_y = mode_vectors(lat, spin, n)
     inv = 1.0 / (2.0 * np.pi * np.hypot(xi_x, xi_y) + shift)
 
@@ -269,6 +272,8 @@ def solve_at_exponent(
                 float(np.sum((np.conj(c_p) * psi_p + np.conj(c_m) * psi_m).real))
             )
             return _pack(out_p, out_m, np.array(rows))
+
+        import scipy.sparse.linalg
 
         dim = 4 * n * n + n_extra
         op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=jac_mv, dtype=float)

@@ -454,7 +454,7 @@ def verify_immersion(
         )
     )
 
-    diag = _diagonal_period(imm)
+    diag = _diagonal_period(imm, jac)
     add_err = float(np.linalg.norm(diag - (imm.V1 + imm.V2)))
     scale = max(np.linalg.norm(imm.V1) + np.linalg.norm(imm.V2), 1.0)
     items.append(
@@ -467,9 +467,11 @@ def verify_immersion(
     return CheckReport(items)
 
 
-def _diagonal_period(imm: Immersion) -> np.ndarray:
-    """Period over the diagonal loop gamma1 + gamma2 by direct line quadrature."""
-    jac = _spectral_jacobian(imm)
+def _diagonal_period(imm: Immersion, jac: np.ndarray) -> np.ndarray:
+    """Period over the diagonal loop gamma1 + gamma2 by direct line quadrature.
+
+    `jac` is `_spectral_jacobian(imm)`.
+    """
     n = imm.n_grid
     gamma = np.array(imm.lat.gamma1) + np.array(imm.lat.gamma2)
     idx = np.arange(n)
@@ -503,23 +505,24 @@ def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None
         base
         + (jg // n)[..., None] * imm.V1[None, None, :]
         + (lg // n)[..., None] * imm.V2[None, None, :]
-    ).reshape(-1, 3)
-
-    def vid(a, b):
-        return a * cols + b + 1
-
-    lines = ["# spintorus periodic immersion mesh"]
-    lines += [
-        f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in verts
-    ]
-    for a in range(rows - 1):
-        for b in range(cols - 1):
-            lines.append(f"f {vid(a, b)} {vid(a + 1, b)} {vid(a + 1, b + 1)}")
-            lines.append(f"f {vid(a, b)} {vid(a + 1, b + 1)} {vid(a, b + 1)}")
+    ).reshape(rows, 3 * cols)
+    # Cell (a, b) gets triangles (v00, v10, v11) and (v00, v11, v01), where
+    # v00 = a cols + b + 1 is the 1-based id of grid vertex (a, b).
+    v00 = np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)[None, :] + 1
+    faces = np.stack(
+        [v00, v00 + cols, v00 + cols + 1, v00, v00 + cols + 1, v00 + 1], axis=-1
+    ).reshape(rows - 1, -1)
+    # One %-format per grid row; %r of a Python float is its shortest repr.
+    v_row = "v %r %r %r\n" * cols
+    f_row = "f %d %d %d\n" * (2 * (cols - 1))
     obj_path = str(path)
     try:
         with open(obj_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("# spintorus periodic immersion mesh\n")
+            for row in verts:
+                fh.write(v_row % tuple(row.tolist()))
+            for row in faces:
+                fh.write(f_row % tuple(row.tolist()))
         sidecar_path = obj_path.rsplit(".", 1)[0] + ".json"
         sidecar = {
             "periods": [list(map(float, imm.V1)), list(map(float, imm.V2))],

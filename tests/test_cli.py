@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 BASE = [sys.executable, "-m", "spintorus.cli"]
@@ -127,6 +128,77 @@ def test_check_fails_on_tampered_solution(tmp_path):
     (out / "bad.json").write_text(json.dumps(data))
     result = run_cli("check", "--solution", str(out / "bad.json"), "--out", str(out), check=False)
     assert result.returncode == 4
+
+
+def _check_items(out):
+    report = json.loads((out / "check_report.json").read_text())
+    return {item["name"]: item for item in report["checks"]["checks"]}
+
+
+def test_check_recomputes_residual(tmp_path):
+    from spintorus.cli import EXIT_CHECK, EXIT_OK, EXIT_VALIDATION, main
+    from spintorus.fields import random_band_limited
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    lat, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
+    honest = constant_solution(lat, spin, 16)
+    data = honest.to_dict()
+    data["residual"] = 1.0
+    path = tmp_path / "honest.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "a"
+    assert main(["check", "--solution", str(path), "--out", str(out)]) == EXIT_OK
+    assert _check_items(out)["residual"]["value"] < 1e-12
+
+    honest.phi = honest.phi + 1e-3 * random_band_limited(
+        lat, spin, 16, np.random.default_rng(7)
+    )
+    data = honest.to_dict()
+    data["residual"] = 0.0
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "b"
+    assert main(["check", "--solution", str(path), "--out", str(out)]) == EXIT_CHECK
+    assert _check_items(out)["residual"]["passed"] is False
+
+    data["p"] = 5.0
+    path.write_text(json.dumps(data))
+    assert main(["check", "--solution", str(path), "--out", str(out)]) == EXIT_VALIDATION
+
+
+SCIPY_FREE_SCRIPT = """
+import json, sys
+from pathlib import Path
+import spintorus
+from spintorus.cli import main
+from spintorus.solver import constant_solution
+
+work = Path(sys.argv[1])
+sol = constant_solution(
+    spintorus.make_lattice((1, 0), (0, 2)), spintorus.SpinStructure(1, -1), 16
+)
+(work / "solution.json").write_text(json.dumps(sol.to_dict()))
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+sol_file = str(work / "solution.json")
+assert main(["surface", "--solution", sol_file, "--out", str(work)]) == 0
+assert main(["check", "--solution", sol_file, "--out", str(work)]) == 0
+assert main(["mu-curve", "--grid", "8", "--out", str(work)]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
+"""
+
+
+def test_scipy_free_commands_do_not_import_scipy(tmp_path):
+    # The pytest process has scipy loaded already; only a fresh interpreter can tell.
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_surface_rejects_zero_spinor(tmp_path):

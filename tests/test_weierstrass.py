@@ -181,6 +181,41 @@ def test_export_mesh_roundtrip(tmp_path):
                 break
 
 
+def _per_line_obj(imm, copies):
+    """Reference OBJ writer: one f-string per vertex and per face."""
+    k1, k2 = copies
+    n = imm.n_grid
+    rows = k1 * n + 1
+    cols = k2 * n + 1
+    jg, lg = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    verts = (
+        imm.F[jg % n, lg % n]
+        + (jg // n)[..., None] * imm.V1[None, None, :]
+        + (lg // n)[..., None] * imm.V2[None, None, :]
+    ).reshape(-1, 3)
+
+    def vid(a, b):
+        return a * cols + b + 1
+
+    lines = ["# spintorus periodic immersion mesh"]
+    lines += [f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in verts]
+    for a in range(rows - 1):
+        for b in range(cols - 1):
+            lines.append(f"f {vid(a, b)} {vid(a + 1, b)} {vid(a + 1, b + 1)}")
+            lines.append(f"f {vid(a, b)} {vid(a + 1, b + 1)} {vid(a, b + 1)}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("copies", [(3, 1), (2, 2)])
+def test_export_mesh_bytes_match_per_line_writer(tmp_path, copies):
+    lat = make_lattice((1, 0), (0.3, 1.1))
+    sol = constant_solution(lat, SpinStructure(-1, 1), 16)
+    imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
+    obj_path, _ = export_mesh(imm, copies, tmp_path / "skew.obj", lam=sol.lam)
+    with open(obj_path, "rb") as fh:
+        assert fh.read() == _per_line_obj(imm, copies)
+
+
 def test_exported_cylinder_matches_analytic_model(tmp_path):
     n = 32
     y = 1.0
