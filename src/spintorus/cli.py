@@ -25,7 +25,6 @@ from .functional import (
 )
 from .lattice import closed_form_spectrum, first_positive_eigenvalue
 from .report import (
-    CheckItem,
     CheckReport,
     dump_report,
     new_report,
@@ -70,14 +69,14 @@ def _resolve_config(args) -> RunConfig:
         cfg = RunConfig()
     overrides = {}
     if getattr(args, "v1", None):
-        overrides["v1"] = [float(t) for t in args.v1.replace(",", " ").split()]
+        overrides["v1"] = args.v1
     if getattr(args, "v2", None):
-        overrides["v2"] = [float(t) for t in args.v2.replace(",", " ").split()]
+        overrides["v2"] = args.v2
     if getattr(args, "eps", None):
         toks = args.eps.replace(",", " ").split()
         if len(toks) != 2:
             raise ConfigError(f"eps: expected two signs, got {args.eps!r}")
-        overrides["eps1"], overrides["eps2"] = int(toks[0]), int(toks[1])
+        overrides["eps1"], overrides["eps2"] = toks
     if getattr(args, "grid", None):
         overrides["n_grid"] = args.grid
     if getattr(args, "seed", None) is not None:
@@ -211,24 +210,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     report["solution"]["file"] = "solution.json"
     lam_sqrt_area = sol.lam * math.sqrt(sol.phi.lat.area)
     report["threshold"] = threshold_verdict(lam_sqrt_area)
-    tol_solve = cfg.tol_solve if cfg.tol_solve is not None else 1e-9 * sol.phi.n_grid
-    checks = CheckReport(
-        [
-            CheckItem("residual", sol.residual, tol_solve, sol.residual <= tol_solve),
-            CheckItem(
-                "norm_p deviation",
-                abs(sol.norm_p - 1.0),
-                cfg.tol_norm,
-                abs(sol.norm_p - 1.0) <= cfg.tol_norm,
-            ),
-            CheckItem(
-                "lambda consistency",
-                abs(lambda_consistency(sol) - sol.lam),
-                2.0 * tol_solve,
-                abs(lambda_consistency(sol) - sol.lam) <= 2.0 * tol_solve,
-            ),
-        ]
-    )
+    checks = _equation_checks(cfg, sol)
     report["checks"] = checks.as_dict()
     with open(out / "solution.json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_dict(), fh, sort_keys=True, indent=1)
@@ -241,10 +223,26 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return EXIT_OK if checks.passed else EXIT_CHECK
 
 
+def _equation_checks(cfg: RunConfig, sol: Solution) -> CheckReport:
+    """Residual, ||phi||_p and lambda consistency, recomputed from phi, lambda, p."""
+    tol_solve = cfg.tol_solve if cfg.tol_solve is not None else 1e-9 * sol.phi.n_grid
+    residual = l2_norm(residual_field(sol.phi, sol.lam, sol.p))
+    norm_gap = abs(lp_norm(sol.phi, sol.p) - 1.0)
+    lam_gap = abs(lambda_consistency(sol) - sol.lam)
+    checks = CheckReport()
+    checks.add("residual", residual, tol_solve, residual <= tol_solve)
+    checks.add("norm_p deviation", norm_gap, cfg.tol_norm, norm_gap <= cfg.tol_norm)
+    checks.add("lambda consistency", lam_gap, 2.0 * tol_solve, lam_gap <= 2.0 * tol_solve)
+    return checks
+
+
 def _load_solution(path) -> Solution:
     try:
-        return Solution.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, KeyError, ValueError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        return Solution.from_dict(data)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"solution file {path}: {exc}") from exc
 
 
@@ -285,21 +283,7 @@ def cmd_surface(cfg: RunConfig, args) -> int:
 def cmd_check(cfg: RunConfig, args) -> int:
     sol = _load_solution(args.solution)
     phi = sol.phi
-    tol_solve = cfg.tol_solve if cfg.tol_solve is not None else 1e-9 * phi.n_grid
-    try:
-        residual = l2_norm(residual_field(phi, sol.lam, sol.p))
-    except ValueError as exc:
-        raise ConfigError(f"solution file {args.solution}: {exc}") from exc
-    checks = CheckReport()
-    checks.add("residual", residual, tol_solve, residual <= tol_solve)
-    checks.add(
-        "norm_p deviation",
-        abs(lp_norm(phi, sol.p) - 1.0),
-        cfg.tol_norm,
-        abs(lp_norm(phi, sol.p) - 1.0) <= cfg.tol_norm,
-    )
-    lam_gap = abs(lambda_consistency(sol) - sol.lam)
-    checks.add("lambda consistency", lam_gap, 2.0 * tol_solve, lam_gap <= 2.0 * tol_solve)
+    checks = _equation_checks(cfg, sol)
     zc = count_zeros(phi, sol.lam, zero_tol=cfg.zero_tol)
     checks.add(
         "nodal bound",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .lattice import Lattice, SpinStructure, make_lattice
@@ -88,77 +88,63 @@ class RunConfig:
         return data
 
 
-def _parse_pair(text: str, name: str) -> tuple[float, float]:
-    toks = text.replace(",", " ").split()
-    if len(toks) != 2:
-        raise ConfigError(f"{name}: expected two numbers, got {text!r}")
-    return (float(toks[0]), float(toks[1]))
+_PAIRS = {"v1": float, "v2": float, "copies": int}
+_SEQUENCES = ("p_values", "q_values")
+_INTS = ("eps1", "eps2", "n_grid", "seed")
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _entries(value) -> list:
+    """Entries of a JSON list, or of a string split at commas and whitespace."""
+    return value.replace(",", " ").split() if isinstance(value, str) else list(value)
+
+
+def _convert(key: str, value):
+    if key in _PAIRS:
+        entries = _entries(value)
+        if len(entries) != 2:
+            raise ValueError(f"expected two entries, got {value!r}")
+        return tuple(_PAIRS[key](v) for v in entries)
+    if key in _SEQUENCES:
+        return tuple(float(v) for v in _entries(value))
+    if key in _INTS:
+        return int(value)
+    if key == "out_dir":
+        return str(value)
+    return None if value is None else float(value)
 
 
 def load_config(path) -> RunConfig:
-    """Read a config file (INI-style sections or a JSON object)."""
+    """Read a config file: a JSON object, or INI-style sections whose keys are
+    RunConfig fields (the section names only group them)."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    try:
         data = json.loads(text)
+    except ValueError as exc:
+        if text.lstrip().startswith("{"):
+            raise ConfigError(f"config JSON: syntax error: {exc}") from exc
+    else:
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise ConfigError(f"config JSON: expected an object, got {kind}")
         return config_from_dict(data)
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    cfg = RunConfig()
-    sec = parser["lattice"] if parser.has_section("lattice") else {}
-    if "v1" in sec:
-        cfg.v1 = _parse_pair(sec["v1"], "v1")
-    if "v2" in sec:
-        cfg.v2 = _parse_pair(sec["v2"], "v2")
-    sec = parser["spin"] if parser.has_section("spin") else {}
-    if "eps1" in sec:
-        cfg.eps1 = int(sec["eps1"])
-    if "eps2" in sec:
-        cfg.eps2 = int(sec["eps2"])
-    sec = parser["run"] if parser.has_section("run") else {}
-    if "n_grid" in sec:
-        cfg.n_grid = int(sec["n_grid"])
-    if "seed" in sec:
-        cfg.seed = int(sec["seed"])
-    if "p_values" in sec:
-        cfg.p_values = _parse_floats(sec["p_values"])
-    if "q_values" in sec:
-        cfg.q_values = _parse_floats(sec["q_values"])
-    if "copies" in sec:
-        pair = _parse_pair(sec["copies"], "copies")
-        cfg.copies = (int(pair[0]), int(pair[1]))
-    if "out_dir" in sec:
-        cfg.out_dir = sec["out_dir"]
-    sec = parser["tolerances"] if parser.has_section("tolerances") else {}
-    for name in ("tol_grad", "tol_solve", "tol_norm", "tol_closed", "tol_cmc", "zero_tol"):
-        if name in sec:
-            setattr(cfg, name, float(sec[name]))
-    return cfg.validate()
+    return config_from_dict(
+        {key: value for sec in parser.sections() for key, value in parser[sec].items()}
+    )
 
 
 def config_from_dict(data: dict) -> RunConfig:
     cfg = RunConfig()
+    known = {f.name for f in fields(RunConfig)}
     for key, value in data.items():
-        if not hasattr(cfg, key):
+        if key not in known:
             raise ConfigError(f"{key}: unknown configuration field")
-        if key in ("v1", "v2"):
-            value = (float(value[0]), float(value[1]))
-        elif key in ("p_values", "q_values"):
-            value = tuple(float(v) for v in value)
-        elif key == "copies":
-            value = (int(value[0]), int(value[1]))
-        elif key in ("eps1", "eps2", "n_grid", "seed"):
-            value = int(value)
-        elif key == "out_dir":
-            value = str(value)
-        elif value is not None:
-            value = float(value)
-        setattr(cfg, key, value)
+        try:
+            setattr(cfg, key, _convert(key, value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return cfg.validate()

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpinorField, l2_norm, mode_vectors
+from .fields import SpinorField, l2_norm, mode_vectors, spectral_apply
 from .lattice import Lattice, SpinStructure
 
 #: Dense diagonalization is an oracle; larger grids use the closed form.
@@ -30,35 +30,23 @@ DENSE_GRID_CAP = 24
 
 
 @lru_cache(maxsize=64)
-def _symbols(lat: Lattice, spin: SpinStructure, n: int):
+def _symbol(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
+    """Off-diagonal symbol entries (S_12, S_21) stacked as a (2, N, N) array."""
     xi_x, xi_y = mode_vectors(lat, spin, n)
-    s12 = 2j * np.pi * (xi_x + 1j * xi_y)
-    s21 = -2j * np.pi * (xi_x - 1j * xi_y)
-    return s12, s21
+    return np.stack([2j * np.pi * (xi_x + 1j * xi_y), -2j * np.pi * (xi_x - 1j * xi_y)])
 
 
 def apply_dirac(phi: SpinorField) -> SpinorField:
-    """D phi, exact for band-limited fields."""
-    s12, s21 = _symbols(phi.lat, phi.spin, phi.n_grid)
-    p_hat = np.fft.fft2(phi.plus)
-    m_hat = np.fft.fft2(phi.minus)
-    return phi.like(np.fft.ifft2(s12 * m_hat), np.fft.ifft2(s21 * p_hat))
-
-
-def apply_dirac_arrays(lat, spin, plus, minus):
-    """Component-array form of apply_dirac (used by matrix-free solvers)."""
-    s12, s21 = _symbols(lat, spin, plus.shape[0])
-    return (
-        np.fft.ifft2(s12 * np.fft.fft2(minus)),
-        np.fft.ifft2(s21 * np.fft.fft2(plus)),
-    )
+    """D phi, exact for band-limited fields: (S_12 u_minus, S_21 u_plus) modewise."""
+    symbol = _symbol(phi.lat, phi.spin, phi.n_grid)
+    return phi.with_u(spectral_apply(phi.u[::-1], symbol))
 
 
 def project_out_kernel(phi: SpinorField) -> SpinorField:
     """Remove the L^2 projection onto ker D (nonempty only for trivial spin)."""
     if not phi.spin.is_trivial:
         return phi
-    return phi.like(phi.plus - phi.plus.mean(), phi.minus - phi.minus.mean())
+    return phi.with_u(phi.u - phi.u.mean(axis=(1, 2), keepdims=True))
 
 
 def kernel_dimension(spin: SpinStructure) -> int:
@@ -86,7 +74,7 @@ def _dft_pair(n: int):
 
 def dirac_dense_matrix(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     """Dense 2 N^2 x 2 N^2 matrix of apply_dirac in the sample basis."""
-    s12, s21 = _symbols(lat, spin, n)
+    s12, s21 = _symbol(lat, spin, n)
     # D = F^* diag(symbol) F blockwise; assemble with dense DFT matrices.
     fwd, inv = _dft_pair(n)
     a12 = inv @ (s12.ravel()[:, None] * fwd)
@@ -116,15 +104,9 @@ def dirac_spectrum_numeric(
     vals, vecs = scipy.linalg.eigh(mat, check_finite=False)
     order = np.lexsort((vals, np.abs(vals)))[:k]
     out = []
-    half = n_grid**2
     for idx in order:
-        vec = vecs[:, idx]
-        field = SpinorField(
-            lat,
-            spin,
-            vec[:half].reshape(n_grid, n_grid),
-            vec[half:].reshape(n_grid, n_grid),
-        )
+        u = vecs[:, idx].reshape(2, n_grid, n_grid)
+        field = SpinorField.from_array(lat, spin, u)
         field = (1.0 / l2_norm(field)) * field
         out.append(EigenPair(float(vals[idx]), field))
     return out

@@ -10,11 +10,15 @@ is stored through its untwisted coefficient functions
 which are honestly Gamma-periodic; the twist lives entirely in the Fourier
 shift delta (see lattice.spin_shift).  Pointwise norms are unaffected:
 |phi| = |u|.  Grid point (j, l) sits at x = (j/N) gamma1 + (l/N) gamma2.
+Both coefficient functions live in one contiguous complex (2, N, N) array
+`SpinorField.u`, plus component first (the order of the file format);
+`plus` and `minus` are views of u[0] and u[1].
 
-Fourier convention: numpy fft2, so u[j, l] = sum_{m,k} d[m,k]
-exp(2 pi i (m j + k l)/N) with d = fft2(u)/N^2 and integer modes
-m, k = N * fftfreq(N).  The physical mode vector of index (m, k) is
-xi = (m + t1) gamma1* + (k + t2) gamma2* with t_i the shift pairings.
+Fourier convention: numpy fft2 over the last two axes, so u[j, l] =
+sum_{m,k} d[m,k] exp(2 pi i (m j + k l)/N) with d = fft2(u)/N^2 and integer
+modes m, k = N * fftfreq(N) (`mode_index_grid`).  The physical mode vector
+of index (m, k) is xi = (m + t1) gamma1* + (k + t2) gamma2* with t_i the
+shift pairings.  Every Fourier multiplier acts through `spectral_apply`.
 
 Quadrature: integrals over the torus are uniform Riemann sums,
 integral f dvol ~= (area/N^2) sum_grid f, spectrally accurate for smooth
@@ -37,44 +41,70 @@ import numpy as np
 from .lattice import DualModeSet, Lattice, SpinStructure, first_eigenmode
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpinorField:
+    """Half-spinor pair on the grid, stored as one complex (2, N, N) array u."""
+
     lat: Lattice
     spin: SpinStructure
-    plus: np.ndarray
-    minus: np.ndarray
+    u: np.ndarray
 
-    def __post_init__(self):
-        p, m = self.plus, self.minus
-        if p.shape != m.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
+    def __init__(self, lat: Lattice, spin: SpinStructure, plus, minus):
+        # np.stack copies, and raises ValueError on unequal shapes.
+        self._set(lat, spin, np.stack([plus, minus]).astype(complex, copy=False))
+
+    @classmethod
+    def from_array(cls, lat: Lattice, spin: SpinStructure, u: np.ndarray):
+        """Field over the (2, N, N) array u; no copy when u is contiguous complex."""
+        phi = cls.__new__(cls)
+        phi._set(lat, spin, np.ascontiguousarray(u, dtype=complex))
+        return phi
+
+    def _set(self, lat, spin, u):
+        if u.ndim != 3 or u.shape[0] != 2 or u.shape[1] != u.shape[2]:
             raise ValueError("components must be square arrays of equal shape")
-        n = p.shape[0]
+        n = u.shape[1]
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
-        object.__setattr__(self, "plus", np.ascontiguousarray(p, dtype=complex))
-        object.__setattr__(self, "minus", np.ascontiguousarray(m, dtype=complex))
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "u", u)
+
+    @property
+    def plus(self) -> np.ndarray:
+        return self.u[0]
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.u[1]
 
     @property
     def n_grid(self) -> int:
-        return self.plus.shape[0]
+        return self.u.shape[1]
 
-    def like(self, plus: np.ndarray, minus: np.ndarray) -> "SpinorField":
-        return SpinorField(self.lat, self.spin, plus, minus)
+    def with_u(self, u: np.ndarray) -> "SpinorField":
+        """Field on the same lattice and spin structure over the array u."""
+        return SpinorField.from_array(self.lat, self.spin, u)
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        return self.like(self.plus + other.plus, self.minus + other.minus)
+        return self.with_u(self.u + other.u)
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return self.like(self.plus - other.plus, self.minus - other.minus)
+        return self.with_u(self.u - other.u)
 
     def __mul__(self, c) -> "SpinorField":
-        return self.like(c * self.plus, c * self.minus)
+        return self.with_u(c * self.u)
 
     __rmul__ = __mul__
 
     def pointwise_norm(self) -> np.ndarray:
         """|phi| on the grid (twist-independent)."""
-        return np.sqrt(np.abs(self.plus) ** 2 + np.abs(self.minus) ** 2)
+        return pointwise_norm(self.u)
+
+
+def pointwise_norm(u: np.ndarray) -> np.ndarray:
+    """|phi| of a (2, N, N) coefficient array; the component axis is summed first."""
+    return np.sqrt((np.abs(u) ** 2).sum(axis=0))
 
 
 def quadrature_weight(phi: SpinorField) -> float:
@@ -110,12 +140,29 @@ def l2_norm(phi: SpinorField) -> float:
 
 
 @lru_cache(maxsize=64)
+def mode_index_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer mode indices (m, k) of fft2 order on an N x N grid (read-only)."""
+    idx = np.fft.fftfreq(n, d=1.0 / n)
+    mm, kk = np.meshgrid(idx, idx, indexing="ij")
+    mm.flags.writeable = kk.flags.writeable = False
+    return mm, kk
+
+
+def spectral_apply(arr: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier mult applied over the last two axes of arr."""
+    # Naming the transform keeps the product in the order mult * arr_hat at
+    # every size: numpy computes `mult * <temporary>` in place, as
+    # temporary * mult, once the temporary reaches 256 KiB, and a complex
+    # product can round differently with its operands swapped.
+    arr_hat = np.fft.fft2(arr)
+    return np.fft.ifft2(mult * arr_hat)
+
+
+@lru_cache(maxsize=64)
 def _mode_data(lat: Lattice, spin: SpinStructure, n: int):
     """Per-(lattice, spin, N) cache: mode vectors and twist grids."""
     modes = DualModeSet(lat, spin)
-    idx = np.fft.fftfreq(n, d=1.0 / n)
-    mm, kk = np.meshgrid(idx, idx, indexing="ij")
-    xi = modes.mode_vectors(mm, kk)
+    xi = modes.mode_vectors(*mode_index_grid(n))
     xi_x = np.ascontiguousarray(xi[..., 0])
     xi_y = np.ascontiguousarray(xi[..., 1])
     t1, t2 = modes.pairings()
@@ -140,8 +187,7 @@ def squared_twist_grid(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
 
 
 def zero_field(lat: Lattice, spin: SpinStructure, n: int) -> SpinorField:
-    z = np.zeros((n, n), dtype=complex)
-    return SpinorField(lat, spin, z, z.copy())
+    return SpinorField.from_array(lat, spin, np.zeros((2, n, n), dtype=complex))
 
 
 def pure_mode_field(
@@ -201,14 +247,14 @@ def random_band_limited(
         (2, len(span), len(span))
     )
     coeffs[np.ix_([0, 1], span, span)] = block
-    plus = np.fft.ifft2(coeffs[0]) * n**2
-    minus = np.fft.ifft2(coeffs[1]) * n**2
-    phi = SpinorField(lat, spin, plus, minus)
+    phi = SpinorField.from_array(lat, spin, np.fft.ifft2(coeffs) * n**2)
     return (1.0 / l2_norm(phi)) * phi
 
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+SPINOR_FORMAT = "spintorus-spinor"
 
 
 def _encode(arr: np.ndarray) -> str:
@@ -216,14 +262,18 @@ def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(buf).decode("ascii")
 
 
-def _decode(text: str, n: int) -> np.ndarray:
+def _decode(text: str, n: int, key: str) -> np.ndarray:
     raw = base64.b64decode(text.encode("ascii"))
-    return np.frombuffer(raw, dtype="<c16").reshape(n, n).astype(complex)
+    if len(raw) != 16 * n * n:
+        raise ValueError(
+            f"{key}: payload holds {len(raw)} bytes, n_grid={n} needs {16 * n * n}"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(n, n)
 
 
 def spinor_to_dict(phi: SpinorField) -> dict:
     return {
-        "format": "spintorus-spinor",
+        "format": SPINOR_FORMAT,
         "byte_order": "little-endian complex128, row-major",
         "lattice": {"gamma1": list(phi.lat.gamma1), "gamma2": list(phi.lat.gamma2)},
         "spin": {"eps1": phi.spin.eps1, "eps2": phi.spin.eps2},
@@ -233,13 +283,20 @@ def spinor_to_dict(phi: SpinorField) -> dict:
     }
 
 
-def spinor_from_dict(data: dict) -> SpinorField:
+def spinor_from_dict(data: dict, fmt: str = SPINOR_FORMAT) -> SpinorField:
+    """Field of a container whose format tag is fmt; payloads must be finite."""
+    if data.get("format") != fmt:
+        raise ValueError(f"format: expected {fmt!r}, got {data.get('format')!r}")
     lat = Lattice(
         tuple(data["lattice"]["gamma1"]), tuple(data["lattice"]["gamma2"])
     )
     spin = SpinStructure(data["spin"]["eps1"], data["spin"]["eps2"])
     n = int(data["n_grid"])
-    return SpinorField(lat, spin, _decode(data["plus"], n), _decode(data["minus"], n))
+    u = np.stack([_decode(data[key], n, key) for key in ("plus", "minus")])
+    for key, comp in zip(("plus", "minus"), u):
+        if not np.isfinite(comp).all():
+            raise ValueError(f"{key}: payload holds non-finite values")
+    return SpinorField.from_array(lat, spin, u)
 
 
 def save_spinor(phi: SpinorField, path) -> None:

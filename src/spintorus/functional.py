@@ -34,6 +34,7 @@ from .fields import (
     mode_vectors,
     pointwise_power,
     random_band_limited,
+    spectral_apply,
 )
 from .lattice import Lattice, SpinStructure
 from .solver import Solution, residual_field
@@ -75,13 +76,14 @@ def _checked_numerator(dphi: SpinorField, phi: SpinorField) -> float:
 
 @dataclass(frozen=True)
 class FqState:
-    """Cached evaluation data of F_q at one field."""
+    """Cached evaluation data of F_q at one field, including D phi."""
 
     q: float
     p: float
     value: float
     rho: float
     dphi_norm_q: float
+    dphi: SpinorField
 
 
 def fq_state(phi: SpinorField, q: float) -> FqState:
@@ -92,7 +94,7 @@ def fq_state(phi: SpinorField, q: float) -> FqState:
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("||D phi||_q vanishes")
     value = _checked_numerator(dphi, phi) / den**2
-    return FqState(q, conjugate_exponent(q), value, value * den ** (2.0 - q), den)
+    return FqState(q, conjugate_exponent(q), value, value * den ** (2.0 - q), den, dphi)
 
 
 def functional_Fq(phi: SpinorField, q: float) -> float:
@@ -101,16 +103,14 @@ def functional_Fq(phi: SpinorField, q: float) -> float:
 
 def grad_Fq(phi: SpinorField, q: float) -> SpinorField:
     """L^2-gradient representative G with Re<G, psi> = dF_q(phi)(psi)."""
-    dphi = apply_dirac(phi)
-    den = lp_norm(dphi, q)
-    if den <= TOL_DEGENERATE:
-        raise DegenerateFieldError("||D phi||_q vanishes")
-    value = _checked_numerator(dphi, phi) / den**2
-    rho = value * den ** (2.0 - q)
-    w = dphi.pointwise_norm()
-    factor = rho * pointwise_power(w, q - 2.0)
-    inner = phi.like(phi.plus - factor * dphi.plus, phi.minus - factor * dphi.minus)
-    return (2.0 / den**2) * apply_dirac(inner)
+    return _grad_at(phi, fq_state(phi, q))
+
+
+def _grad_at(phi: SpinorField, state: FqState) -> SpinorField:
+    """grad_Fq(phi, state.q) from the state of phi: one more Dirac application."""
+    dphi, den = state.dphi, state.dphi_norm_q
+    factor = state.rho * pointwise_power(dphi.pointwise_norm(), state.q - 2.0)
+    return (2.0 / den**2) * apply_dirac(phi.with_u(phi.u - factor * dphi.u))
 
 
 def _precondition(grad: SpinorField) -> SpinorField:
@@ -124,10 +124,7 @@ def _precondition(grad: SpinorField) -> SpinorField:
     inv = np.zeros_like(mult)
     nz = mult > 0.0
     inv[nz] = 1.0 / mult[nz]
-    return grad.like(
-        np.fft.ifft2(inv * np.fft.fft2(grad.plus)),
-        np.fft.ifft2(inv * np.fft.fft2(grad.minus)),
-    )
+    return grad.with_u(spectral_apply(grad.u, inv))
 
 
 @dataclass
@@ -169,12 +166,13 @@ def maximize_Fq(
         return (1.0 / den) * f
 
     phi = normalize(init)
-    value = functional_Fq(phi, q)
+    state = fq_state(phi, q)
+    value = state.value
     step = opts.step_init
     history = [value]
     grad_norm = math.inf
     for it in range(opts.max_iter):
-        grad = grad_Fq(phi, q)
+        grad = _grad_at(phi, state)
         grad_norm = l2_norm(grad)
         if grad_norm < tol_grad:
             return MaximizeResult(phi, value, it, grad_norm, True, history)
@@ -185,9 +183,9 @@ def maximize_Fq(
         accepted = False
         for _ in range(opts.max_backtracks):
             trial = normalize(phi + step * direction)
-            trial_value = functional_Fq(trial, q)
-            if trial_value >= value + opts.armijo * step * slope:
-                phi, value = trial, trial_value
+            trial_state = fq_state(trial, q)
+            if trial_state.value >= value + opts.armijo * step * slope:
+                phi, state, value = trial, trial_state, trial_state.value
                 history.append(value)
                 step *= opts.step_growth
                 accepted = True
@@ -196,7 +194,7 @@ def maximize_Fq(
         if not accepted:
             # No admissible increase above roundoff: stationary on this grid.
             break
-    grad_norm = l2_norm(grad_Fq(phi, q))
+    grad_norm = l2_norm(_grad_at(phi, state))
     if grad_norm < tol_grad:
         return MaximizeResult(phi, value, opts.max_iter, grad_norm, True, history)
     raise IterationLimitError(
@@ -223,7 +221,7 @@ def normalize_euler_lagrange(
     w = dphi.pointwise_norm()
     factor = pointwise_power(w, q - 2.0)
     zero_count = int(np.count_nonzero(w == 0.0))
-    phi = phi_max.like(factor * dphi.plus, factor * dphi.minus)
+    phi = phi_max.with_u(factor * dphi.u)
     lam = 1.0 / mu_q
     res = l2_norm(residual_field(phi, lam, p))
     return Solution(

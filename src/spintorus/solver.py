@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import apply_dirac, apply_dirac_arrays, project_out_kernel
+from .dirac import apply_dirac, project_out_kernel
 from .fields import (
     SpinorField,
     eigenvector_at_mode,
@@ -37,12 +37,16 @@ from .fields import (
     l2_norm,
     lp_norm,
     mode_vectors,
+    pointwise_norm,
     pointwise_power,
     pure_mode_field,
+    spectral_apply,
     spinor_from_dict,
     spinor_to_dict,
 )
 from .lattice import Lattice, SpinStructure, first_eigenmode
+
+SOLUTION_FORMAT = "spintorus-solution"
 
 
 class ContinuationError(RuntimeError):
@@ -77,7 +81,7 @@ class Solution:
 
     def to_dict(self) -> dict:
         data = spinor_to_dict(self.phi)
-        data["format"] = "spintorus-solution"
+        data["format"] = SOLUTION_FORMAT
         data["lambda"] = self.lam
         data["p"] = self.p
         data["residual"] = self.residual
@@ -88,10 +92,17 @@ class Solution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Solution":
+        """Solution of a container; rejects a wrong format tag, payload length,
+        non-finite plus, minus or lambda, and p outside [2, 4] (ValueError)."""
+        phi = spinor_from_dict(data, fmt=SOLUTION_FORMAT)
+        lam, p = float(data["lambda"]), float(data["p"])
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda: must be finite, got {lam}")
+        _check_exponent(p)
         return cls(
-            phi=spinor_from_dict(data),
-            lam=float(data["lambda"]),
-            p=float(data["p"]),
+            phi=phi,
+            lam=lam,
+            p=p,
             residual=float(data["residual"]),
             norm_p=float(data["norm_p"]),
             trace=list(data.get("trace", [])),
@@ -116,28 +127,27 @@ class ContinuationSchedule:
             raise ValueError("schedule must be strictly increasing")
 
 
+def _check_exponent(p: float) -> None:
+    if not 2.0 - 1e-12 <= p <= 4.0 + 1e-12:
+        raise ValueError(f"p: must lie in [2, 4], got {p}")
+
+
 def residual_field(phi: SpinorField, lam: float, p: float) -> SpinorField:
     """D phi - lambda |phi|^{p-2} phi, pointwise."""
-    if not 2.0 - 1e-12 <= p <= 4.0 + 1e-12:
-        raise ValueError("p must lie in [2, 4]")
-    dphi = apply_dirac(phi)
+    _check_exponent(p)
     w = pointwise_power(phi.pointwise_norm(), p - 2.0)
-    return phi.like(dphi.plus - lam * w * phi.plus, dphi.minus - lam * w * phi.minus)
+    return phi.with_u(apply_dirac(phi).u - lam * w * phi.u)
 
 
-def _pack(plus, minus, extra=None):
-    parts = [plus.real.ravel(), plus.imag.ravel(), minus.real.ravel(), minus.imag.ravel()]
-    if extra is not None:
-        parts.append(np.atleast_1d(extra))
-    return np.concatenate(parts)
+def _pack(u, extra):
+    """[Re u_plus, Im u_plus, Re u_minus, Im u_minus, extra] as one real vector."""
+    return np.concatenate([np.stack([u.real, u.imag], axis=1).ravel(), extra])
 
 
 def _unpack(x, n):
-    sz = n * n
-    plus = (x[:sz] + 1j * x[sz : 2 * sz]).reshape(n, n)
-    minus = (x[2 * sz : 3 * sz] + 1j * x[3 * sz : 4 * sz]).reshape(n, n)
-    extra = x[4 * sz :]
-    return plus, minus, extra
+    """Inverse of _pack: the (2, N, N) complex array and the extra entries."""
+    parts = x[: 4 * n * n].reshape(2, 2, n, n)
+    return parts[:, 0] + 1j * parts[:, 1], x[4 * n * n :]
 
 
 def _minres(op, b, rtol, maxiter, M=None):
@@ -157,15 +167,11 @@ def _fourier_preconditioner(lat, spin, n, shift, n_extra):
 
     xi_x, xi_y = mode_vectors(lat, spin, n)
     inv = 1.0 / (2.0 * np.pi * np.hypot(xi_x, xi_y) + shift)
-
-    def apply_inv(arr):
-        return np.fft.ifft2(inv * np.fft.fft2(arr))
-
     dim = 4 * n * n + n_extra
 
     def mv(x):
-        plus, minus, extra = _unpack(x, n)
-        return _pack(apply_inv(plus), apply_inv(minus), extra if n_extra else None)
+        u, extra = _unpack(x, n)
+        return _pack(spectral_apply(u, inv), extra)
 
     return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv, dtype=float)
 
@@ -186,8 +192,7 @@ def solve_at_exponent(
     lambda_mode 'normalized' enforces ||phi||_p = 1 with lambda unknown;
     'fixed' solves at lam_fixed with phi alone unknown.
     """
-    if not 2.0 - 1e-12 <= p <= 4.0 + 1e-12:
-        raise ValueError("p must lie in [2, 4]")
+    _check_exponent(p)
     if lambda_mode not in ("normalized", "fixed"):
         raise ValueError("lambda_mode must be 'normalized' or 'fixed'")
     phi0 = init.phi if isinstance(init, Solution) else init
@@ -197,37 +202,28 @@ def solve_at_exponent(
     kappa = lat.area / n**2
     bordered = lambda_mode == "normalized"
 
-    plus, minus = phi0.plus.copy(), phi0.minus.copy()
     if l2_norm(phi0) == 0.0:
         raise ValueError("init field is identically zero")
+
+    def density(v):  # |phi|^p
+        return (np.abs(v) ** 2).sum(axis=0) ** (p / 2.0)
+
     if bordered:
-        nrm = lp_norm(phi0, p)
-        plus, minus = plus / nrm, minus / nrm
-        dphi = apply_dirac_arrays(lat, spin, plus, minus)
-        num = kappa * float(
-            np.sum((np.conj(dphi[0]) * plus + np.conj(dphi[1]) * minus).real)
-        )
-        den = kappa * float(np.sum((np.abs(plus) ** 2 + np.abs(minus) ** 2) ** (p / 2.0)))
-        lam = num / den
+        u = phi0.u / lp_norm(phi0, p)
+        du = apply_dirac(phi0.with_u(u)).u
+        num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
+        lam = num / (kappa * float(np.sum(density(u))))
     else:
+        u = phi0.u.copy()
         lam = float(lam_fixed)
 
-    def field_residual(pl, mi, lm):
-        dp, dm = apply_dirac_arrays(lat, spin, pl, mi)
-        w = pointwise_power(np.sqrt(np.abs(pl) ** 2 + np.abs(mi) ** 2), p - 2.0)
-        return dp - lm * w * pl, dm - lm * w * mi
+    def norm_gap(v):
+        return (kappa * np.sum(density(v))) ** (1.0 / p) - 1.0
 
-    def norm_gap(pl, mi):
-        return (kappa * np.sum((np.abs(pl) ** 2 + np.abs(mi) ** 2) ** (p / 2.0))) ** (
-            1.0 / p
-        ) - 1.0
-
-    def merit(pl, mi, lm):
-        rp, rm = field_residual(pl, mi, lm)
-        res = math.sqrt(
-            kappa * float(np.sum(np.abs(rp) ** 2) + np.sum(np.abs(rm) ** 2))
-        )
-        gap = norm_gap(pl, mi) if bordered else 0.0
+    def merit(v, lm):
+        sq = np.abs(residual_field(phi0.with_u(v), lm, p).u) ** 2
+        res = math.sqrt(kappa * float(np.sum(sq[0]) + np.sum(sq[1])))
+        gap = norm_gap(v) if bordered else 0.0
         return res, gap, math.hypot(res, gap)
 
     # Unknowns: phi, (lambda in normalized mode), and one Lagrange multiplier
@@ -235,69 +231,57 @@ def solve_at_exponent(
     # operator symmetric and removes the exact gauge null vector (i phi, 0).
     n_extra = (1 if bordered else 0) + 1
     newton_iters = 0
-    res, gap, total = merit(plus, minus, lam)
+    res, gap, total = merit(u, lam)
     for newton_iters in range(1, max_newton + 1):
         if res < tol_solve and abs(gap) < tol_norm:
             newton_iters -= 1
             break
-        absphi = np.sqrt(np.abs(plus) ** 2 + np.abs(minus) ** 2)
+        absphi = pointwise_norm(u)
         w2 = pointwise_power(absphi, p - 2.0)
         inv_abs = np.zeros_like(absphi)
         mask = absphi > 0.0
         inv_abs[mask] = 1.0 / absphi[mask]
-        hat_p, hat_m = plus * inv_abs, minus * inv_abs
-        g_p, g_m = w2 * plus, w2 * minus
-        c_p, c_m = 1j * plus, 1j * minus  # phase anchor d/dtheta e^{i theta} phi
+        hat = u * inv_abs
+        g = w2 * u
+        c = 1j * u  # phase anchor d/dtheta e^{i theta} phi
 
         def jac_mv(x):
-            psi_p, psi_m, extra = _unpack(x, n)
-            dp, dm = apply_dirac_arrays(lat, spin, psi_p, psi_m)
-            cross = (np.conj(hat_p) * psi_p + np.conj(hat_m) * psi_m).real
-            mp = w2 * psi_p + (p - 2.0) * w2 * cross * hat_p
-            mm = w2 * psi_m + (p - 2.0) * w2 * cross * hat_m
-            out_p = dp - lam * mp
-            out_m = dm - lam * mm
+            psi, extra = _unpack(x, n)
+            cross = (np.conj(hat) * psi).sum(axis=0).real
+            # derivative of |phi|^{p-2} phi along psi
+            dn = w2 * psi + (p - 2.0) * w2 * cross * hat
+            out = apply_dirac(phi0.with_u(psi)).u - lam * dn
             rows = []
             if bordered:
-                dlam = extra[0]
-                out_p -= dlam * g_p
-                out_m -= dlam * g_m
-                rows.append(
-                    -float(np.sum((np.conj(g_p) * psi_p + np.conj(g_m) * psi_m).real))
-                )
-            dmu = extra[-1]
-            out_p += dmu * c_p
-            out_m += dmu * c_m
-            rows.append(
-                float(np.sum((np.conj(c_p) * psi_p + np.conj(c_m) * psi_m).real))
-            )
-            return _pack(out_p, out_m, np.array(rows))
+                out -= extra[0] * g
+                rows.append(-float(np.sum((np.conj(g) * psi).sum(axis=0).real)))
+            out += extra[-1] * c
+            rows.append(float(np.sum((np.conj(c) * psi).sum(axis=0).real)))
+            return _pack(out, np.array(rows))
 
         import scipy.sparse.linalg
 
         dim = 4 * n * n + n_extra
         op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=jac_mv, dtype=float)
-        rp, rm = field_residual(plus, minus, lam)
         rows_rhs = []
         if bordered:
             rows_rhs.append(-(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa)
         rows_rhs.append(0.0)  # the step must not rotate the phase
-        b = -_pack(rp, rm, np.array(rows_rhs))
+        b = -_pack(residual_field(phi0.with_u(u), lam, p).u, np.array(rows_rhs))
         prec = _fourier_preconditioner(
             lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0)), n_extra=n_extra
         )
         eta = max(min(1e-4, 0.1 * res), 1e-12)
-        step = _minres(op, b, rtol=eta, maxiter=minres_maxiter, M=prec)
-        sp, sm, extra = _unpack(step, n)
+        x = _minres(op, b, rtol=eta, maxiter=minres_maxiter, M=prec)
+        step, extra = _unpack(x, n)
 
         t = 1.0
         while t >= damping_min:
-            trial_p = plus + t * sp
-            trial_m = minus + t * sm
+            trial = u + t * step
             trial_lam = lam + t * float(extra[0]) if bordered else lam
-            t_res, t_gap, t_total = merit(trial_p, trial_m, trial_lam)
+            t_res, t_gap, t_total = merit(trial, trial_lam)
             if t_total <= (1.0 - 1e-4 * t) * total or t_total < 1e-15:
-                plus, minus, lam = trial_p, trial_m, trial_lam
+                u, lam = trial, trial_lam
                 res, gap, total = t_res, t_gap, t_total
                 break
             t *= 0.5
@@ -314,7 +298,7 @@ def solve_at_exponent(
             trace=[],
         )
 
-    phi = SpinorField(lat, spin, plus, minus)
+    phi = phi0.with_u(u)
     if spin.is_trivial and abs(p - 2.0) < 1e-12:
         phi = project_out_kernel(phi)
     sol = Solution(

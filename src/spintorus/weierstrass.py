@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpinorField, squared_twist_grid
+from .fields import SpinorField, mode_index_grid, squared_twist_grid
 from .lattice import Lattice, SpinStructure
 from .report import CheckItem, CheckReport
 
@@ -105,19 +105,15 @@ def build_alpha(phi: SpinorField) -> OneFormField:
 
 
 def _lattice_components(alpha: OneFormField):
-    """dF pulled back to lattice coordinates: dF_k = U_k ds + V_k dt."""
+    """dF pulled back to lattice coordinates: dF_k = U_k ds + V_k dt.
+
+    Returns (U, V), each stacked over k as a (3, N, N) array.
+    """
     g1, g2 = alpha.lat.gamma1, alpha.lat.gamma2
-    out = []
-    for a in alpha.components():
-        u = -a.imag  # dx1 coefficient
-        v = a.real  # dx2 coefficient
-        out.append((u * g1[0] + v * g1[1], u * g2[0] + v * g2[1]))
-    return out
-
-
-def _mode_indices(n: int):
-    idx = np.fft.fftfreq(n, d=1.0 / n)
-    return np.meshgrid(idx, idx, indexing="ij")
+    a = np.stack(alpha.components())
+    u = -a.imag  # dx1 coefficient
+    v = a.real  # dx2 coefficient
+    return u * g1[0] + v * g1[1], u * g2[0] + v * g2[1]
 
 
 def closedness_residual(alpha: OneFormField) -> float:
@@ -127,15 +123,13 @@ def closedness_residual(alpha: OneFormField) -> float:
     reported value is the discretization / solver residual.
     """
     n = alpha.n_grid
-    mm, kk = _mode_indices(n)
-    det = alpha.lat.det()
-    w = alpha.lat.area / n**2
-    total = 0.0
-    for u_s, v_t in _lattice_components(alpha):
-        r_hat = 2j * np.pi * (mm * np.fft.fft2(v_t) - kk * np.fft.fft2(u_s))
-        r = np.fft.ifft2(r_hat).real / det
-        total += float(np.sum(r**2))
-    return math.sqrt(w * total)
+    mm, kk = mode_index_grid(n)
+    u_s, v_t = _lattice_components(alpha)
+    r_hat = 2j * np.pi * (mm * np.fft.fft2(v_t) - kk * np.fft.fft2(u_s))
+    r = np.fft.ifft2(r_hat).real / alpha.lat.det()
+    # One sum per component, added in component order: a fixed rounding order.
+    total = sum(float(np.sum(rk**2)) for rk in r)
+    return math.sqrt(alpha.lat.area / n**2 * total)
 
 
 def integrate_immersion(
@@ -156,20 +150,15 @@ def integrate_immersion(
             f"closedness residual {res_closed:.3e} exceeds tol_closed={tol_closed:.3e}"
         )
     n = alpha.n_grid
-    mm, kk = _mode_indices(n)
+    mm, kk = mode_index_grid(n)
     denom = mm**2 + kk**2
     denom[0, 0] = 1.0
-    F = np.zeros((n, n, 3))
-    lin = np.zeros((3, 2))
-    for comp, (u_s, v_t) in enumerate(_lattice_components(alpha)):
-        u_hat = np.fft.fft2(u_s)
-        v_hat = np.fft.fft2(v_t)
-        lin[comp, 0] = u_hat[0, 0].real / n**2
-        lin[comp, 1] = v_hat[0, 0].real / n**2
-        f_hat = (mm * u_hat + kk * v_hat) / (2j * np.pi * denom)
-        f_hat[0, 0] = 0.0
-        per = np.fft.ifft2(f_hat).real
-        F[:, :, comp] = per - per[0, 0]
+    u_hat, v_hat = map(np.fft.fft2, _lattice_components(alpha))
+    lin = np.stack([u_hat[:, 0, 0].real, v_hat[:, 0, 0].real], axis=1) / n**2
+    f_hat = (mm * u_hat + kk * v_hat) / (2j * np.pi * denom)
+    f_hat[:, 0, 0] = 0.0
+    per = np.fft.ifft2(f_hat).real
+    F = np.moveaxis(per - per[:, :1, :1], 0, -1).copy()
     ss = np.arange(n)[:, None] / n
     tt = np.arange(n)[None, :] / n
     F += ss[..., None] * lin[:, 0] + tt[..., None] * lin[:, 1]
@@ -379,18 +368,16 @@ def _branch_mask(imm: Immersion, margin: int = 3) -> np.ndarray:
 def _spectral_jacobian(imm: Immersion):
     """Euclidean-coordinate derivative matrices d F / d x (N, N, 3, 2)."""
     n = imm.n_grid
-    mm, kk = _mode_indices(n)
+    mm, kk = mode_index_grid(n)
     # subtract the linear part, differentiate the periodic part spectrally
     ss = np.arange(n)[:, None] / n
     tt = np.arange(n)[None, :] / n
     lin = np.stack([imm.V1, imm.V2], axis=1)  # (3, 2) in (s, t) coords
     per = imm.F - ss[..., None] * lin[:, 0] - tt[..., None] * lin[:, 1]
-    d_s = np.empty((n, n, 3))
-    d_t = np.empty((n, n, 3))
-    for comp in range(3):
-        f_hat = np.fft.fft2(per[:, :, comp])
-        d_s[:, :, comp] = np.fft.ifft2(2j * np.pi * mm * f_hat).real + lin[comp, 0]
-        d_t[:, :, comp] = np.fft.ifft2(2j * np.pi * kk * f_hat).real + lin[comp, 1]
+    f_hat = np.fft.fft2(per, axes=(0, 1))
+    i2pi_m, i2pi_k = (2j * np.pi * mm)[..., None], (2j * np.pi * kk)[..., None]
+    d_s = np.fft.ifft2(i2pi_m * f_hat, axes=(0, 1)).real + lin[:, 0]
+    d_t = np.fft.ifft2(i2pi_k * f_hat, axes=(0, 1)).real + lin[:, 1]
     # x = G^T (s, t), G rows = generators, so dF/dx = [d_s F, d_t F] (G^T)^{-1}
     g_inv_t = np.linalg.inv(imm.lat.generator_matrix()).T
     return np.stack([d_s, d_t], axis=-1) @ g_inv_t

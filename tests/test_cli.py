@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import subprocess
@@ -247,3 +248,62 @@ def test_mu_curve_command(tmp_path):
     mus = {row["q"]: row["mu"] for row in report["mu_curve"]}
     assert mus[2.0] == pytest.approx(1 / math.pi, abs=1e-7)
     assert mus[1.8] >= mus[2.0] - 1e-7
+
+
+@pytest.mark.parametrize(
+    "name, text, field",
+    [
+        ("run.cfg", "[run]\nn_grid = abc\n", "n_grid"),
+        ("run.cfg", "[spin]\neps1 = x\n", "eps1"),
+        ("run.cfg", "[run]\ngrid = 8\n", "grid"),
+        ("run.json", '{"v1": 5}', "v1"),
+        ("run.json", '{"v1": [1, 0, 0]}', "v1"),
+        ("run.json", '{"n_grid": "x"}', "n_grid"),
+        ("run.json", '{"n_grid": 8,', "config JSON"),
+        ("run.json", "[1, 2]", "config JSON"),
+    ],
+    ids=["ini-int", "ini-sign", "ini-unknown", "json-pair-type", "json-pair-length",
+         "json-int", "json-syntax", "json-list"],
+)
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, name, text, field):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
+def _nan_payload(data):
+    n = data["n_grid"]
+    data["plus"] = base64.b64encode(np.full(n * n, np.nan, "<c16").tobytes()).decode()
+
+
+def _short_payload(data):
+    data["minus"] = base64.b64encode(np.zeros(7, "<c16").tobytes()).decode()
+
+
+SOLUTION_DEFECTS = {
+    "format": lambda data: data.update(format="spintorus-spinor"),
+    "plus": _nan_payload,
+    "minus": _short_payload,
+    "lambda": lambda data: data.update({"lambda": math.inf}),
+    "p": lambda data: data.update(p=5.0),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "surface"])
+@pytest.mark.parametrize("field", sorted(SOLUTION_DEFECTS))
+def test_invalid_solution_file_exits_2_naming_field(tmp_path, capsys, command, field):
+    from spintorus.cli import EXIT_VALIDATION, main
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    data = constant_solution(make_lattice((1, 0), (0, 2)), SpinStructure(1, -1), 8).to_dict()
+    SOLUTION_DEFECTS[field](data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code = main([command, "--solution", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"s.json: {field}:" in capsys.readouterr().err
