@@ -21,6 +21,7 @@ from .fields import l2_norm, lp_norm
 from .functional import (
     DegenerateFieldError,
     IterationLimitError,
+    MaximizeOptions,
     mu_curve,
 )
 from .lattice import closed_form_spectrum, first_positive_eigenvalue
@@ -41,7 +42,6 @@ from .solver import (
 from .weierstrass import (
     ClosednessError,
     build_alpha,
-    closedness_residual,
     count_zeros,
     export_mesh,
     integrate_immersion,
@@ -62,31 +62,25 @@ def _parse_copies(text: str) -> tuple[int, int]:
         raise ConfigError(f"copies: expected K1xK2, got {text!r}") from exc
 
 
+#: (command-line flag, RunConfig key) pairs; a given flag, even 0, overrides the
+#: config file.  --eps sets both eps1 and eps2.
+_FLAG_KEYS = (("v1", "v1"), ("v2", "v2"), ("eps", "eps1"), ("grid", "n_grid"),
+              ("seed", "seed"), ("out", "out_dir"), ("copies", "copies"))
+
+
 def _resolve_config(args) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    if getattr(args, "v1", None):
-        overrides["v1"] = args.v1
-    if getattr(args, "v2", None):
-        overrides["v2"] = args.v2
-    if getattr(args, "eps", None):
-        toks = args.eps.replace(",", " ").split()
-        if len(toks) != 2:
-            raise ConfigError(f"eps: expected two signs, got {args.eps!r}")
-        overrides["eps1"], overrides["eps2"] = toks
-    if getattr(args, "grid", None):
-        overrides["n_grid"] = args.grid
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "copies", None):
-        overrides["copies"] = _parse_copies(args.copies)
-    data = cfg.as_dict()
-    data.update(overrides)
+    data = (load_config(args.config) if args.config else RunConfig()).as_dict()
+    for arg, key in _FLAG_KEYS:
+        value = getattr(args, arg, None)
+        if value is None:
+            continue
+        if arg == "eps":
+            toks = value.replace(",", " ").split()
+            if len(toks) != 2:
+                raise ConfigError(f"eps: expected two signs, got {value!r}")
+            data["eps1"], data["eps2"] = toks
+        else:
+            data[key] = _parse_copies(value) if arg == "copies" else value
     return config_from_dict(data)
 
 
@@ -139,9 +133,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 def cmd_mu_curve(cfg: RunConfig, args) -> int:
     lat, spin = cfg.lattice(), cfg.spin()
-    points = mu_curve(
-        lat, spin, cfg.q_values, n_grid=cfg.n_grid, seed=cfg.seed
-    )
+    opts = MaximizeOptions(tol_grad=cfg.tol_grad)
+    points = mu_curve(lat, spin, cfg.q_values, n_grid=cfg.n_grid, opts=opts, seed=cfg.seed)
     report = new_report("mu-curve", _config_echo(cfg))
     report["mu_curve"] = [
         {
@@ -194,16 +187,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     if getattr(args, "resume", None):
         sol = Solution.from_dict(json.loads(Path(args.resume).read_text()))
-        sol = solve_at_exponent(4.0, sol, tol_solve=cfg.tol_solve, tol_norm=cfg.tol_norm)
+        sol = solve_at_exponent(4.0, sol, schedule=cfg.schedule())
         sol.meta["resumed_from"] = Path(args.resume).name
     else:
-        sol = solve_critical(
-            lat,
-            spin,
-            schedule=cfg.schedule(),
-            n_grid=cfg.n_grid,
-            seed=cfg.seed,
-        )
+        sol = solve_critical(lat, spin, schedule=cfg.schedule(), n_grid=cfg.n_grid)
     report = new_report("solve", _config_echo(cfg))
     report["spectrum"] = _spectrum_summary(cfg)
     report["solution"] = _solution_report_block(sol)
@@ -246,15 +233,19 @@ def _load_solution(path) -> Solution:
         raise ConfigError(f"solution file {path}: {exc}") from exc
 
 
+def _verified_immersion(cfg: RunConfig, sol: Solution):
+    """Immersion of sol and its checks; ClosednessError above cfg.tol_closed."""
+    imm = integrate_immersion(
+        build_alpha(sol.phi), H=sol.lam, tol_closed=cfg.tol_closed, zero_tol=cfg.zero_tol
+    )
+    return imm, verify_immersion(imm, sol.phi, H=sol.lam, cmc_tol=cfg.tol_cmc)
+
+
 def cmd_surface(cfg: RunConfig, args) -> int:
     sol = _load_solution(args.solution)
     if sol.max_abs() == 0.0:
         raise ConfigError("solution file holds the zero spinor")
-    alpha = build_alpha(sol.phi)
-    imm = integrate_immersion(
-        alpha, H=sol.lam, tol_closed=cfg.tol_closed, zero_tol=cfg.zero_tol
-    )
-    checks = verify_immersion(imm, sol.phi, H=sol.lam, cmc_tol=cfg.tol_cmc)
+    imm, checks = _verified_immersion(cfg, sol)
     report = new_report("surface", _config_echo(cfg))
     report["threshold"] = threshold_verdict(
         sol.lam * math.sqrt(sol.phi.lat.area)
@@ -282,9 +273,8 @@ def cmd_surface(cfg: RunConfig, args) -> int:
 
 def cmd_check(cfg: RunConfig, args) -> int:
     sol = _load_solution(args.solution)
-    phi = sol.phi
     checks = _equation_checks(cfg, sol)
-    zc = count_zeros(phi, sol.lam, zero_tol=cfg.zero_tol)
+    zc = count_zeros(sol.phi, sol.lam, zero_tol=cfg.zero_tol)
     checks.add(
         "nodal bound",
         float(len(zc.zeros)),
@@ -292,16 +282,15 @@ def cmd_check(cfg: RunConfig, args) -> int:
         zc.ok,
         note=f"bound {zc.bound:.6g}",
     )
-    alpha = build_alpha(phi)
-    closed = closedness_residual(alpha)
-    checks.add("closedness residual", closed, cfg.tol_closed, closed <= cfg.tol_closed)
-    if closed <= cfg.tol_closed:
-        imm = integrate_immersion(alpha, H=sol.lam, tol_closed=cfg.tol_closed)
-        sub = verify_immersion(imm, phi, H=sol.lam, cmc_tol=cfg.tol_cmc)
-        known = {item.name for item in checks.items}
-        checks.items.extend(item for item in sub.items if item.name not in known)
+    try:
+        imm, sub = _verified_immersion(cfg, sol)
+    except ClosednessError as exc:
+        checks.add("closedness residual", exc.residual, cfg.tol_closed, False)
+    else:
+        checks.add("closedness residual", imm.diagnostics["closedness"], cfg.tol_closed, True)
+        checks.items.extend(item for item in sub.items if item.name != "closedness residual")
     report = new_report("check", _config_echo(cfg))
-    lam_sqrt_area = sol.lam * math.sqrt(phi.lat.area)
+    lam_sqrt_area = sol.lam * math.sqrt(sol.phi.lat.area)
     report["threshold"] = threshold_verdict(lam_sqrt_area)
     report["checks"] = checks.as_dict()
     out = _out_dir(cfg)

@@ -45,6 +45,15 @@ P_CRITICAL = 4.0
 #: ||D phi||_q below this is treated as a kernel element.
 TOL_DEGENERATE = 1e-12
 
+#: Ascent line search: Armijo sufficient-increase constant, first trial step,
+#: step growth after an accepted step, and step halvings tried per iteration.
+ARMIJO = 1e-4
+STEP_INIT = 1.0
+STEP_GROWTH = 1.5
+MAX_BACKTRACKS = 45
+#: L^2 size of the random band-limited perturbation of the mu_curve init.
+MU_CURVE_PERTURBATION = 1e-2
+
 
 class DegenerateFieldError(ValueError):
     """D phi vanishes (up to tolerance): F_q is undefined."""
@@ -129,12 +138,10 @@ def _precondition(grad: SpinorField) -> SpinorField:
 
 @dataclass
 class MaximizeOptions:
-    tol_grad: float | None = None  # default 1e-8 * N
+    """Stopping rule of maximize_Fq: |grad| < tol_grad (default 1e-8 * N) in max_iter steps."""
+
+    tol_grad: float | None = None
     max_iter: int = 5000
-    armijo: float = 1e-4
-    step_init: float = 1.0
-    step_growth: float = 1.5
-    max_backtracks: int = 45
 
 
 @dataclass
@@ -168,7 +175,7 @@ def maximize_Fq(
     phi = normalize(init)
     state = fq_state(phi, q)
     value = state.value
-    step = opts.step_init
+    step = STEP_INIT
     history = [value]
     grad_norm = math.inf
     for it in range(opts.max_iter):
@@ -181,13 +188,13 @@ def maximize_Fq(
         if slope <= 0.0:
             break
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = normalize(phi + step * direction)
             trial_state = fq_state(trial, q)
-            if trial_state.value >= value + opts.armijo * step * slope:
+            if trial_state.value >= value + ARMIJO * step * slope:
                 phi, state, value = trial, trial_state, trial_state.value
                 history.append(value)
-                step *= opts.step_growth
+                step *= STEP_GROWTH
                 accepted = True
                 break
             step *= 0.5
@@ -251,7 +258,6 @@ def mu_curve(
     n_grid: int = 16,
     opts: MaximizeOptions | None = None,
     seed: int = 0,
-    perturbation: float = 1e-2,
 ) -> list[MuPoint]:
     """mu_q estimates on the area-1 rescaled torus, warm-started downward in q.
 
@@ -266,7 +272,7 @@ def mu_curve(
     lat1 = lat.unit_area()
     rng = np.random.default_rng(seed)
     init = first_positive_eigenspinor(lat1, spin, n_grid)
-    init = init + perturbation * random_band_limited(lat1, spin, n_grid, rng)
+    init = init + MU_CURVE_PERTURBATION * random_band_limited(lat1, spin, n_grid, rng)
     points: list[MuPoint] = []
     warm = init
     for q in qs:

@@ -48,6 +48,11 @@ from .lattice import Lattice, SpinStructure, first_eigenmode
 
 SOLUTION_FORMAT = "spintorus-solution"
 
+#: Iteration cap of each MINRES solve, and the smallest Newton damping factor
+#: tried before a step counts as stalled.
+MINRES_MAXITER = 4000
+DAMPING_MIN = 1e-4
+
 
 class ContinuationError(RuntimeError):
     """A continuation stage failed; carries the partial trace."""
@@ -112,12 +117,12 @@ class Solution:
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
+    """Exponents of the continuation and the Newton stopping rule of each stage."""
+
     p_values: tuple = (2.0, 2.5, 3.0, 3.5, 3.8, 3.95, 4.0)
     tol_solve: float | None = None  # default 1e-9 * N
     tol_norm: float = 1e-10
     max_newton: int = 40
-    minres_maxiter: int = 4000
-    damping_min: float = 1e-4
 
     def __post_init__(self):
         ps = self.p_values
@@ -150,10 +155,10 @@ def _unpack(x, n):
     return parts[:, 0] + 1j * parts[:, 1], x[4 * n * n :]
 
 
-def _minres(op, b, rtol, maxiter, M=None):
+def _minres(op, b, rtol, M):
     import scipy.sparse.linalg
 
-    kwargs = {"maxiter": maxiter, "M": M}
+    kwargs = {"maxiter": MINRES_MAXITER, "M": M}
     try:
         x, _ = scipy.sparse.linalg.minres(op, b, rtol=rtol, **kwargs)
     except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
@@ -181,24 +186,21 @@ def solve_at_exponent(
     init: SpinorField | Solution,
     lambda_mode: str = "normalized",
     lam_fixed: float | None = None,
-    tol_solve: float | None = None,
-    tol_norm: float = 1e-10,
-    max_newton: int = 40,
-    minres_maxiter: int = 4000,
-    damping_min: float = 1e-4,
+    schedule: ContinuationSchedule = ContinuationSchedule(),
 ) -> Solution:
     """Damped Newton for one exponent; matrix-free Jacobian, MINRES linear solves.
 
     lambda_mode 'normalized' enforces ||phi||_p = 1 with lambda unknown;
-    'fixed' solves at lam_fixed with phi alone unknown.
+    'fixed' solves at lam_fixed with phi alone unknown.  Of the schedule only
+    the stopping rule is read: tol_solve (default 1e-9 * N), tol_norm, max_newton.
+    MINRES and the damping search are bounded by MINRES_MAXITER and DAMPING_MIN.
     """
     _check_exponent(p)
     if lambda_mode not in ("normalized", "fixed"):
         raise ValueError("lambda_mode must be 'normalized' or 'fixed'")
     phi0 = init.phi if isinstance(init, Solution) else init
     lat, spin, n = phi0.lat, phi0.spin, phi0.n_grid
-    if tol_solve is None:
-        tol_solve = 1e-9 * n
+    tol_solve = schedule.tol_solve if schedule.tol_solve is not None else 1e-9 * n
     kappa = lat.area / n**2
     bordered = lambda_mode == "normalized"
 
@@ -232,8 +234,8 @@ def solve_at_exponent(
     n_extra = (1 if bordered else 0) + 1
     newton_iters = 0
     res, gap, total = merit(u, lam)
-    for newton_iters in range(1, max_newton + 1):
-        if res < tol_solve and abs(gap) < tol_norm:
+    for newton_iters in range(1, schedule.max_newton + 1):
+        if res < tol_solve and abs(gap) < schedule.tol_norm:
             newton_iters -= 1
             break
         absphi = pointwise_norm(u)
@@ -272,11 +274,11 @@ def solve_at_exponent(
             lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0)), n_extra=n_extra
         )
         eta = max(min(1e-4, 0.1 * res), 1e-12)
-        x = _minres(op, b, rtol=eta, maxiter=minres_maxiter, M=prec)
+        x = _minres(op, b, rtol=eta, M=prec)
         step, extra = _unpack(x, n)
 
         t = 1.0
-        while t >= damping_min:
+        while t >= DAMPING_MIN:
             trial = u + t * step
             trial_lam = lam + t * float(extra[0]) if bordered else lam
             t_res, t_gap, t_total = merit(trial, trial_lam)
@@ -294,7 +296,7 @@ def solve_at_exponent(
     else:
         raise ContinuationError(
             f"Newton did not converge at p={p}: residual={res:.3e} after "
-            f"{max_newton} iterations",
+            f"{schedule.max_newton} iterations",
             trace=[],
         )
 
@@ -319,10 +321,9 @@ def solve_at_exponent(
 def solve_critical(
     lat: Lattice,
     spin: SpinStructure,
-    schedule: ContinuationSchedule | None = None,
+    schedule: ContinuationSchedule = ContinuationSchedule(),
     init: SpinorField | Solution | None = None,
     n_grid: int = 32,
-    rescale_area: bool = True,
     seed: int = 0,
     perturbation: float = 0.0,
 ) -> Solution:
@@ -332,8 +333,7 @@ def solve_critical(
     the joint rescaling, and the reported lambda then equals
     lambda * sqrt(area)).  The full (p, lambda_p, extrema) trace is attached.
     """
-    schedule = schedule or ContinuationSchedule()
-    work_lat = lat.unit_area() if rescale_area else lat
+    work_lat = lat.unit_area()
     if init is None:
         phi = first_positive_eigenspinor(work_lat, spin, n_grid)
         if perturbation > 0.0:
@@ -345,22 +345,14 @@ def solve_critical(
         phi = init.phi if isinstance(init, Solution) else init
         if phi.lat != work_lat:
             raise ValueError(
-                "init lattice does not match the (rescaled) target lattice; "
-                "pass rescale_area=False or rebuild the init"
+                "init lattice does not match the unit-area rescaled target "
+                "lattice; rebuild the init on lat.unit_area()"
             )
     trace = []
     sol = None
     for p in schedule.p_values:
         try:
-            sol = solve_at_exponent(
-                p,
-                sol if sol is not None else phi,
-                tol_solve=schedule.tol_solve,
-                tol_norm=schedule.tol_norm,
-                max_newton=schedule.max_newton,
-                minres_maxiter=schedule.minres_maxiter,
-                damping_min=schedule.damping_min,
-            )
+            sol = solve_at_exponent(p, sol if sol is not None else phi, schedule=schedule)
         except ContinuationError as exc:
             raise ContinuationError(
                 f"continuation aborted at p={p}: {exc}", trace
@@ -376,7 +368,7 @@ def solve_critical(
             }
         )
     sol.trace = trace
-    sol.meta["rescaled_area"] = rescale_area
+    sol.meta["rescaled_area"] = True
     return sol
 
 

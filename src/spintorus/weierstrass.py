@@ -42,26 +42,36 @@ from .lattice import Lattice, SpinStructure
 from .report import CheckItem, CheckReport
 
 
+#: verify_immersion gates on the relative deviation of |dF| from |phi|^2 and
+#: the relative period additivity error.
+CONFORMALITY_TOL = 1e-8
+PERIOD_TOL = 1e-10
+
+
 class ClosednessError(RuntimeError):
     """d(Re alpha) too large: the 1-form does not integrate to a surface."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
 class OneFormField:
-    """Coefficients of the R^3-valued (0,1)-form alpha = (a1, a2, a3) dzbar."""
+    """Coefficients of the R^3-valued (0,1)-form alpha = (a1, a2, a3) dzbar,
+    stored as one complex (3, N, N) array `a` whose rows are a1, a2, a3."""
 
     lat: Lattice
     spin: SpinStructure
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
+    a: np.ndarray
 
     @property
     def n_grid(self) -> int:
-        return self.a1.shape[0]
+        return self.a.shape[-1]
 
     def components(self):
-        return (self.a1, self.a2, self.a3)
+        """The rows (a1, a2, a3) of `a`, as views."""
+        return tuple(self.a)
 
     def conformal_factor(self) -> np.ndarray:
         """Pointwise |dF| = sqrt(sum |a_k|^2 / 2); equals |phi|^2 by construction."""
@@ -95,25 +105,29 @@ def build_alpha(phi: SpinorField) -> OneFormField:
     tw = squared_twist_grid(phi.lat, phi.spin, phi.n_grid)
     p2 = phi.plus**2 * tw
     m2 = np.conj(phi.minus) ** 2 * np.conj(tw)
-    return OneFormField(
-        phi.lat,
-        phi.spin,
-        p2 + m2,
-        1j * (p2 - m2),
-        2j * phi.plus * np.conj(phi.minus),
-    )
+    a = np.stack([p2 + m2, 1j * (p2 - m2), 2j * phi.plus * np.conj(phi.minus)])
+    return OneFormField(phi.lat, phi.spin, a)
 
 
-def _lattice_components(alpha: OneFormField):
-    """dF pulled back to lattice coordinates: dF_k = U_k ds + V_k dt.
+def _lattice_spectra(alpha: OneFormField):
+    """Spectra of dF pulled back to lattice coordinates, dF_k = U_k ds + V_k dt.
 
-    Returns (U, V), each stacked over k as a (3, N, N) array.
+    Returns (fft2(U), fft2(V)), each stacked over k as a (3, N, N) array.
     """
     g1, g2 = alpha.lat.gamma1, alpha.lat.gamma2
-    a = np.stack(alpha.components())
-    u = -a.imag  # dx1 coefficient
-    v = a.real  # dx2 coefficient
-    return u * g1[0] + v * g1[1], u * g2[0] + v * g2[1]
+    u = -alpha.a.imag  # dx1 coefficient
+    v = alpha.a.real  # dx2 coefficient
+    return np.fft.fft2(u * g1[0] + v * g1[1]), np.fft.fft2(u * g2[0] + v * g2[1])
+
+
+def _closedness_from_spectra(lat: Lattice, u_hat, v_hat) -> float:
+    n = u_hat.shape[-1]
+    mm, kk = mode_index_grid(n)
+    r_hat = 2j * np.pi * (mm * v_hat - kk * u_hat)
+    r = np.fft.ifft2(r_hat).real / lat.det()
+    # One sum per component, added in component order: a fixed rounding order.
+    total = sum(float(np.sum(rk**2)) for rk in r)
+    return math.sqrt(lat.area / n**2 * total)
 
 
 def closedness_residual(alpha: OneFormField) -> float:
@@ -122,14 +136,7 @@ def closedness_residual(alpha: OneFormField) -> float:
     Zero analytically for exact solutions of D phi = H |phi|^2 phi, so the
     reported value is the discretization / solver residual.
     """
-    n = alpha.n_grid
-    mm, kk = mode_index_grid(n)
-    u_s, v_t = _lattice_components(alpha)
-    r_hat = 2j * np.pi * (mm * np.fft.fft2(v_t) - kk * np.fft.fft2(u_s))
-    r = np.fft.ifft2(r_hat).real / alpha.lat.det()
-    # One sum per component, added in component order: a fixed rounding order.
-    total = sum(float(np.sum(rk**2)) for rk in r)
-    return math.sqrt(alpha.lat.area / n**2 * total)
+    return _closedness_from_spectra(alpha.lat, *_lattice_spectra(alpha))
 
 
 def integrate_immersion(
@@ -144,16 +151,17 @@ def integrate_immersion(
     periods.  Refuses to integrate when the closedness residual exceeds
     tol_closed.
     """
-    res_closed = closedness_residual(alpha)
+    u_hat, v_hat = _lattice_spectra(alpha)
+    res_closed = _closedness_from_spectra(alpha.lat, u_hat, v_hat)
     if not res_closed <= tol_closed:
         raise ClosednessError(
-            f"closedness residual {res_closed:.3e} exceeds tol_closed={tol_closed:.3e}"
+            f"closedness residual {res_closed:.3e} exceeds tol_closed={tol_closed:.3e}",
+            res_closed,
         )
     n = alpha.n_grid
     mm, kk = mode_index_grid(n)
     denom = mm**2 + kk**2
     denom[0, 0] = 1.0
-    u_hat, v_hat = map(np.fft.fft2, _lattice_components(alpha))
     lin = np.stack([u_hat[:, 0, 0].real, v_hat[:, 0, 0].real], axis=1) / n**2
     f_hat = (mm * u_hat + kk * v_hat) / (2j * np.pi * denom)
     f_hat[:, 0, 0] = 0.0
@@ -225,14 +233,22 @@ def _ring_mean(arr: np.ndarray, center, radius: int) -> float:
     return float(np.mean(vals))
 
 
-def _detect_branch_points(mu: np.ndarray, zero_tol: float) -> list:
-    """Zeros of the conformal factor with vanishing order from a 5x5 fit."""
+def _zero_clusters(mu: np.ndarray, zero_tol: float) -> list:
+    """(center, cells) of each periodic grid cluster where mu < zero_tol * max mu;
+    the center is the cell of least mu.  Empty when mu vanishes identically."""
     top = float(mu.max())
     if top <= 0.0:
         return []
+    return [
+        (min(comp, key=lambda c: mu[c]), comp)
+        for comp in _periodic_clusters(mu < zero_tol * top)
+    ]
+
+
+def _detect_branch_points(mu: np.ndarray, zero_tol: float) -> list:
+    """Zeros of the conformal factor with vanishing order from a 5x5 fit."""
     pts = []
-    for comp in _periodic_clusters(mu < zero_tol * top):
-        center = min(comp, key=lambda c: mu[c])
+    for center, _ in _zero_clusters(mu, zero_tol):
         s1 = _ring_mean(mu, center, 1)
         s2 = _ring_mean(mu, center, 2)
         if s1 <= 0.0 or s2 <= 0.0:
@@ -271,23 +287,17 @@ def count_zeros(
     """
     if genus != 1:
         raise ValueError("only the torus (genus 1) is covered")
-    mu = phi.pointwise_norm()
-    top = float(mu.max())
+    n = phi.n_grid
     zeros = []
-    if top > 0.0:
-        n = phi.n_grid
-        for comp in _periodic_clusters(mu < zero_tol * top):
-            center = min(comp, key=lambda c: mu[c])
-            extent = max(
-                max(abs(j - center[0]), abs(l - center[1])) for j, l in comp
-            )
-            radius = min(max(2, extent + 2), n // 2 - 1)
-            ring = _ring(center, radius, n)
-            w_plus = _winding(np.array([phi.plus[c] for c in ring]))
-            w_minus = _winding(np.array([phi.minus[c] for c in ring]))
-            order = max(abs(w_plus), abs(w_minus))
-            if order >= 1:
-                zeros.append((center[0], center[1], order))
+    for center, comp in _zero_clusters(phi.pointwise_norm(), zero_tol):
+        extent = max(max(abs(j - center[0]), abs(l - center[1])) for j, l in comp)
+        radius = min(max(2, extent + 2), n // 2 - 1)
+        ring = _ring(center, radius, n)
+        w_plus = _winding(np.array([phi.plus[c] for c in ring]))
+        w_minus = _winding(np.array([phi.minus[c] for c in ring]))
+        order = max(abs(w_plus), abs(w_minus))
+        if order >= 1:
+            zeros.append((center[0], center[1], order))
     bound = genus - 1 + lam**2 / (4.0 * np.pi)
     return ZeroCount(zeros, bound, ok=len(zeros) <= bound)
 
@@ -387,11 +397,9 @@ def verify_immersion(
     imm: Immersion,
     phi: SpinorField,
     H: float | None = None,
-    conformality_tol: float = 1e-8,
     cmc_tol: float = 0.01,
-    period_tol: float = 1e-10,
 ) -> CheckReport:
-    """Check conformality, CMC, branch orders, and period additivity."""
+    """Check conformality, CMC (within cmc_tol), branch orders, and period additivity."""
     if phi.n_grid != imm.n_grid:
         raise ValueError("grid mismatch between immersion and spinor field")
     if H is None:
@@ -411,7 +419,7 @@ def verify_immersion(
     )
     conf = dev / max(top, 1e-300)
     items.append(
-        CheckItem("conformality |dF|=|phi|^2", conf, conformality_tol, conf < conformality_tol)
+        CheckItem("conformality |dF|=|phi|^2", conf, CONFORMALITY_TOL, conf < CONFORMALITY_TOL)
     )
 
     closed = imm.diagnostics.get("closedness")
@@ -445,7 +453,7 @@ def verify_immersion(
     add_err = float(np.linalg.norm(diag - (imm.V1 + imm.V2)))
     scale = max(np.linalg.norm(imm.V1) + np.linalg.norm(imm.V2), 1.0)
     items.append(
-        CheckItem("period additivity", add_err / scale, period_tol, add_err / scale < period_tol)
+        CheckItem("period additivity", add_err / scale, PERIOD_TOL, add_err / scale < PERIOD_TOL)
     )
 
     imm.diagnostics.update(

@@ -307,3 +307,44 @@ def test_invalid_solution_file_exits_2_naming_field(tmp_path, capsys, command, f
     code = main([command, "--solution", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert f"s.json: {field}:" in capsys.readouterr().err
+
+
+def test_zero_grid_flag_exits_2_naming_n_grid(tmp_path, capsys):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    code = main(["mu-curve", "--grid", "0", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert "configuration error: n_grid:" in capsys.readouterr().err
+
+
+def test_mu_curve_honours_tol_grad(tmp_path):
+    from spintorus.cli import EXIT_OK, main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_values": [1.8, 2.0], "n_grid": 8, "tol_grad": 1.0}))
+    code = main(["mu-curve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "out" / "mu_curve_report.json").read_text())
+    # A gradient tolerance of 1 stops the ascent far above the default 1e-8 * N.
+    assert all(row["converged"] and 1e-3 < row["grad_norm"] < 1.0
+               for row in report["mu_curve"])
+
+
+def test_check_and_surface_share_branch_order_verdict(tmp_path):
+    from spintorus.cli import EXIT_CHECK, main
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    sol = constant_solution(make_lattice((1, 0), (0, 2)), SpinStructure(1, -1), 8)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sol.to_dict()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"zero_tol": 2.0}))  # every grid cell counts as a zero
+    common = ["--solution", str(path), "--config", str(cfg)]
+    assert main(["check", *common, "--out", str(tmp_path / "c")]) == EXIT_CHECK
+    assert main(["surface", "--verify-only", *common, "--out", str(tmp_path / "s")]) == EXIT_CHECK
+    surface = json.loads((tmp_path / "s" / "surface_report.json").read_text())
+    surface_items = {item["name"]: item for item in surface["checks"]["checks"]}
+    branch = _check_items(tmp_path / "c")["branch orders even"]
+    assert branch == surface_items["branch orders even"]
+    assert branch["passed"] is False
