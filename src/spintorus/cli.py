@@ -97,8 +97,7 @@ def _config_echo(cfg: RunConfig) -> dict:
     return data
 
 
-def _spectrum_summary(cfg: RunConfig, entries: int = 10) -> dict:
-    lat, spin = cfg.lattice(), cfg.spin()
+def _spectrum_summary(lat, spin, entries: int = 10) -> dict:
     closed = closed_form_spectrum(lat, spin, entries)
     lam1 = first_positive_eigenvalue(lat, spin)
     return {
@@ -109,10 +108,26 @@ def _spectrum_summary(cfg: RunConfig, entries: int = 10) -> dict:
     }
 
 
+def _write_report(cfg: RunConfig, report: dict, lines, passed: bool = True,
+                  fail_code: int = EXIT_CHECK) -> int:
+    """Write <command>_report.json, print lines and its path; the exit code."""
+    path = _out_dir(cfg) / f"{report['command'].replace('-', '_')}_report.json"
+    dump_report(report, path)
+    for line in lines:
+        print(line)
+    print(f"wrote {path}")
+    return EXIT_OK if passed else fail_code
+
+
+def _solution_threshold(sol: Solution) -> dict:
+    """Threshold verdict of lambda * sqrt(area) on the solution's own torus."""
+    return threshold_verdict(sol.lam * math.sqrt(sol.phi.lat.area))
+
+
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     lat, spin = cfg.lattice(), cfg.spin()
     report = new_report("spectrum", _config_echo(cfg))
-    report["spectrum"] = _spectrum_summary(cfg)
+    report["spectrum"] = _spectrum_summary(lat, spin)
     n_dense = min(cfg.n_grid, 12)
     pairs = dirac_spectrum_numeric(lat, spin, n_dense, k=10)
     report["numeric"] = {
@@ -120,15 +135,14 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         "values": [p.value for p in pairs],
         "cap": DENSE_GRID_CAP,
     }
-    report["threshold"] = threshold_verdict(report["spectrum"]["lambda1_sqrt_area"])
-    out = _out_dir(cfg)
-    dump_report(report, out / "spectrum_report.json")
-    lam1 = report["spectrum"]["lambda1_plus"]
-    print(f"lambda1+ = {lam1:.12g}, lambda1+ * sqrt(area) = {report['spectrum']['lambda1_sqrt_area']:.12g}")
-    print(f"kernel dim (complex) = {report['spectrum']['kernel_dim_complex']}")
-    print(report["threshold"]["verdict"])
-    print(f"wrote {out / 'spectrum_report.json'}")
-    return EXIT_OK
+    spec = report["spectrum"]
+    report["threshold"] = threshold_verdict(spec["lambda1_sqrt_area"])
+    return _write_report(cfg, report, [
+        f"lambda1+ = {spec['lambda1_plus']:.12g}, "
+        f"lambda1+ * sqrt(area) = {spec['lambda1_sqrt_area']:.12g}",
+        f"kernel dim (complex) = {spec['kernel_dim_complex']}",
+        report["threshold"]["verdict"],
+    ])
 
 
 def cmd_mu_curve(cfg: RunConfig, args) -> int:
@@ -154,12 +168,11 @@ def cmd_mu_curve(cfg: RunConfig, args) -> int:
     report["threshold"] = threshold_verdict(
         first_positive_eigenvalue(lat, spin) * math.sqrt(lat.area)
     )
-    out = _out_dir(cfg)
-    dump_report(report, out / "mu_curve_report.json")
-    for pt in points:
-        print(f"q = {pt.q:.4f}  mu_q = {pt.mu:.10g}  (|grad| = {pt.grad_norm:.2e})")
-    print(f"wrote {out / 'mu_curve_report.json'}")
-    return EXIT_OK if all(pt.converged for pt in points) else EXIT_SOLVER
+    return _write_report(
+        cfg, report,
+        [f"q = {pt.q:.4f}  mu_q = {pt.mu:.10g}  (|grad| = {pt.grad_norm:.2e})" for pt in points],
+        passed=all(pt.converged for pt in points), fail_code=EXIT_SOLVER,
+    )
 
 
 def _solution_report_block(sol: Solution) -> dict:
@@ -183,31 +196,27 @@ def _solution_report_block(sol: Solution) -> dict:
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
-    lat, spin = cfg.lattice(), cfg.spin()
-    out = _out_dir(cfg)
-    if getattr(args, "resume", None):
-        sol = Solution.from_dict(json.loads(Path(args.resume).read_text()))
-        sol = solve_at_exponent(4.0, sol, schedule=cfg.schedule())
+    if args.resume:
+        sol = solve_at_exponent(4.0, _load_solution(args.resume), schedule=cfg.schedule())
         sol.meta["resumed_from"] = Path(args.resume).name
+        lat, spin = sol.phi.lat, sol.phi.spin
     else:
+        lat, spin = cfg.lattice(), cfg.spin()
         sol = solve_critical(lat, spin, schedule=cfg.schedule(), n_grid=cfg.n_grid)
     report = new_report("solve", _config_echo(cfg))
-    report["spectrum"] = _spectrum_summary(cfg)
+    report["spectrum"] = _spectrum_summary(lat, spin)
     report["solution"] = _solution_report_block(sol)
     report["solution"]["file"] = "solution.json"
-    lam_sqrt_area = sol.lam * math.sqrt(sol.phi.lat.area)
-    report["threshold"] = threshold_verdict(lam_sqrt_area)
+    report["threshold"] = _solution_threshold(sol)
     checks = _equation_checks(cfg, sol)
     report["checks"] = checks.as_dict()
-    with open(out / "solution.json", "w", encoding="utf-8") as fh:
+    with open(_out_dir(cfg) / "solution.json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_dict(), fh, sort_keys=True, indent=1)
-    dump_report(report, out / "solve_report.json")
-    print(f"lambda = {sol.lam:.12g}  residual = {sol.residual:.3e}")
-    print(report["threshold"]["verdict"])
-    for line in checks.summary_lines():
-        print(line)
-    print(f"wrote {out / 'solve_report.json'}")
-    return EXIT_OK if checks.passed else EXIT_CHECK
+    return _write_report(cfg, report, [
+        f"lambda = {sol.lam:.12g}  residual = {sol.residual:.3e}",
+        report["threshold"]["verdict"],
+        *checks.summary_lines(),
+    ], passed=checks.passed)
 
 
 def _equation_checks(cfg: RunConfig, sol: Solution) -> CheckReport:
@@ -247,28 +256,15 @@ def cmd_surface(cfg: RunConfig, args) -> int:
         raise ConfigError("solution file holds the zero spinor")
     imm, checks = _verified_immersion(cfg, sol)
     report = new_report("surface", _config_echo(cfg))
-    report["threshold"] = threshold_verdict(
-        sol.lam * math.sqrt(sol.phi.lat.area)
-    )
-    report["periods"] = [list(map(float, imm.V1)), list(map(float, imm.V2))]
-    report["H"] = sol.lam
-    report["diagnostics"] = imm.diagnostics
-    report["branch_points"] = [
-        {"u": j / imm.n_grid, "v": l / imm.n_grid, "order": order}
-        for j, l, order in imm.branch_points
-    ]
+    report["threshold"] = _solution_threshold(sol)
+    report.update(imm.summary())
     report["checks"] = checks.as_dict()
-    out = _out_dir(cfg)
     if not args.verify_only:
         obj_path, sidecar = export_mesh(
-            imm, cfg.copies, out / "surface.obj", lam=sol.lam
+            imm, cfg.copies, _out_dir(cfg) / "surface.obj", lam=sol.lam
         )
         report["files"] = [Path(obj_path).name, Path(sidecar).name]
-    dump_report(report, out / "surface_report.json")
-    for line in checks.summary_lines():
-        print(line)
-    print(f"wrote {out / 'surface_report.json'}")
-    return EXIT_OK if checks.passed else EXIT_CHECK
+    return _write_report(cfg, report, checks.summary_lines(), passed=checks.passed)
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
@@ -283,23 +279,18 @@ def cmd_check(cfg: RunConfig, args) -> int:
         note=f"bound {zc.bound:.6g}",
     )
     try:
-        imm, sub = _verified_immersion(cfg, sol)
+        _, sub = _verified_immersion(cfg, sol)
     except ClosednessError as exc:
         checks.add("closedness residual", exc.residual, cfg.tol_closed, False)
-    else:
-        checks.add("closedness residual", imm.diagnostics["closedness"], cfg.tol_closed, True)
-        checks.items.extend(item for item in sub.items if item.name != "closedness residual")
+    else:  # closedness first, then the remaining checks in verification order
+        checks.items.extend(sorted(sub.items, key=lambda it: it.name != "closedness residual"))
     report = new_report("check", _config_echo(cfg))
-    lam_sqrt_area = sol.lam * math.sqrt(sol.phi.lat.area)
-    report["threshold"] = threshold_verdict(lam_sqrt_area)
+    report["threshold"] = _solution_threshold(sol)
     report["checks"] = checks.as_dict()
-    out = _out_dir(cfg)
-    dump_report(report, out / "check_report.json")
-    for line in checks.summary_lines():
-        print(line)
-    print(report["threshold"]["verdict"])
-    print(f"wrote {out / 'check_report.json'}")
-    return EXIT_OK if checks.passed else EXIT_CHECK
+    return _write_report(
+        cfg, report, [*checks.summary_lines(), report["threshold"]["verdict"]],
+        passed=checks.passed,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,7 +40,6 @@ from .lattice import Lattice, SpinStructure
 from .solver import Solution, residual_field
 
 Q_CRITICAL = 4.0 / 3.0
-P_CRITICAL = 4.0
 
 #: ||D phi||_q below this is treated as a kernel element.
 TOL_DEGENERATE = 1e-12

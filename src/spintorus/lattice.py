@@ -217,10 +217,8 @@ def _aggregate_levels(radii: np.ndarray) -> list[tuple[float, int]]:
 
 def first_positive_eigenvalue(lat: Lattice, spin: SpinStructure) -> float:
     """lambda_1^+ = 2 pi |xi| over the shortest nonzero shifted dual mode."""
-    for value, _ in closed_form_spectrum(lat, spin, 3):
-        if value > 1e-14:
-            return value
-    raise RuntimeError("no positive eigenvalue found")  # pragma: no cover
+    xi = DualModeSet(lat, spin).mode_vectors(*first_eigenmode(lat, spin))
+    return 2.0 * math.pi * float(np.hypot(xi[0], xi[1]))
 
 
 def first_eigenmode(lat: Lattice, spin: SpinStructure) -> tuple[int, int]:

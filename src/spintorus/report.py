@@ -89,7 +89,3 @@ def dump_report(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def dumps_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1) + "\n"

@@ -80,10 +80,6 @@ class Solution:
     def max_abs(self) -> float:
         return float(self.phi.pointwise_norm().max())
 
-    def lambda_invariant(self) -> float:
-        """lambda * sqrt(area of the solution metric) = lambda * ||phi||_p^2."""
-        return self.lam * self.norm_p**2
-
     def to_dict(self) -> dict:
         data = spinor_to_dict(self.phi)
         data["format"] = SOLUTION_FORMAT
@@ -223,17 +219,19 @@ def solve_at_exponent(
         return (kappa * np.sum(density(v))) ** (1.0 / p) - 1.0
 
     def merit(v, lm):
-        sq = np.abs(residual_field(phi0.with_u(v), lm, p).u) ** 2
+        """Residual norm, norm gap, their hypot, and the residual array itself."""
+        r = residual_field(phi0.with_u(v), lm, p).u
+        sq = np.abs(r) ** 2
         res = math.sqrt(kappa * float(np.sum(sq[0]) + np.sum(sq[1])))
         gap = norm_gap(v) if bordered else 0.0
-        return res, gap, math.hypot(res, gap)
+        return res, gap, math.hypot(res, gap), r
 
     # Unknowns: phi, (lambda in normalized mode), and one Lagrange multiplier
     # anchoring the U(1) phase; the multiplier row/column keeps the bordered
     # operator symmetric and removes the exact gauge null vector (i phi, 0).
     n_extra = (1 if bordered else 0) + 1
     newton_iters = 0
-    res, gap, total = merit(u, lam)
+    res, gap, total, r = merit(u, lam)
     for newton_iters in range(1, schedule.max_newton + 1):
         if res < tol_solve and abs(gap) < schedule.tol_norm:
             newton_iters -= 1
@@ -269,7 +267,7 @@ def solve_at_exponent(
         if bordered:
             rows_rhs.append(-(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa)
         rows_rhs.append(0.0)  # the step must not rotate the phase
-        b = -_pack(residual_field(phi0.with_u(u), lam, p).u, np.array(rows_rhs))
+        b = -_pack(r, np.array(rows_rhs))
         prec = _fourier_preconditioner(
             lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0)), n_extra=n_extra
         )
@@ -281,10 +279,10 @@ def solve_at_exponent(
         while t >= DAMPING_MIN:
             trial = u + t * step
             trial_lam = lam + t * float(extra[0]) if bordered else lam
-            t_res, t_gap, t_total = merit(trial, trial_lam)
+            t_res, t_gap, t_total, t_r = merit(trial, trial_lam)
             if t_total <= (1.0 - 1e-4 * t) * total or t_total < 1e-15:
                 u, lam = trial, trial_lam
-                res, gap, total = t_res, t_gap, t_total
+                res, gap, total, r = t_res, t_gap, t_total, t_r
                 break
             t *= 0.5
         else:

@@ -88,6 +88,7 @@ class Immersion:
     F: np.ndarray  # (N, N, 3), F at x = (j/N) gamma1 + (l/N) gamma2, F(0) = 0
     V1: np.ndarray  # period over gamma1
     V2: np.ndarray  # period over gamma2
+    tol_closed: float  # the closedness gate integration passed
     H: float | None = None
     branch_points: list = field(default_factory=list)  # (j, l, order)
     diagnostics: dict = field(default_factory=dict)
@@ -99,6 +100,18 @@ class Immersion:
     def period(self, n1: int, n2: int) -> np.ndarray:
         """Period homomorphism on n1 gamma1 + n2 gamma2 (additive by construction)."""
         return n1 * self.V1 + n2 * self.V2
+
+    def summary(self) -> dict:
+        """Periods, H, diagnostics and branch points as reports serialize them."""
+        n = self.n_grid
+        return {
+            "periods": [list(map(float, self.V1)), list(map(float, self.V2))],
+            "H": self.H,
+            "diagnostics": self.diagnostics,
+            "branch_points": [
+                {"u": j / n, "v": l / n, "order": order} for j, l, order in self.branch_points
+            ],
+        }
 
 
 def build_alpha(phi: SpinorField) -> OneFormField:
@@ -180,6 +193,7 @@ def integrate_immersion(
         H=H,
         branch_points=_detect_branch_points(mu, zero_tol),
         diagnostics={"closedness": res_closed},
+        tol_closed=tol_closed,
     )
     return imm
 
@@ -193,23 +207,22 @@ def _periodic_clusters(mask: np.ndarray) -> list[list[tuple[int, int]]]:
     n0, n1 = mask.shape
     seen = np.zeros_like(mask, dtype=bool)
     clusters = []
-    for j0 in range(n0):
-        for l0 in range(n1):
-            if not mask[j0, l0] or seen[j0, l0]:
-                continue
-            stack = [(j0, l0)]
-            seen[j0, l0] = True
-            comp = []
-            while stack:
-                j, l = stack.pop()
-                comp.append((j, l))
-                for dj in (-1, 0, 1):
-                    for dl in (-1, 0, 1):
-                        jj, ll = (j + dj) % n0, (l + dl) % n1
-                        if mask[jj, ll] and not seen[jj, ll]:
-                            seen[jj, ll] = True
-                            stack.append((jj, ll))
-            clusters.append(comp)
+    for j0, l0 in np.argwhere(mask).tolist():  # masked cells, row-major
+        if seen[j0, l0]:
+            continue
+        stack = [(j0, l0)]
+        seen[j0, l0] = True
+        comp = []
+        while stack:
+            j, l = stack.pop()
+            comp.append((j, l))
+            for dj in (-1, 0, 1):
+                for dl in (-1, 0, 1):
+                    jj, ll = (j + dj) % n0, (l + dl) % n1
+                    if mask[jj, ll] and not seen[jj, ll]:
+                        seen[jj, ll] = True
+                        stack.append((jj, ll))
+        clusters.append(comp)
     return clusters
 
 
@@ -399,7 +412,8 @@ def verify_immersion(
     H: float | None = None,
     cmc_tol: float = 0.01,
 ) -> CheckReport:
-    """Check conformality, CMC (within cmc_tol), branch orders, and period additivity."""
+    """Check conformality, closedness (against the tol_closed integration passed),
+    CMC (within cmc_tol), branch orders, and period additivity."""
     if phi.n_grid != imm.n_grid:
         raise ValueError("grid mismatch between immersion and spinor field")
     if H is None:
@@ -422,10 +436,10 @@ def verify_immersion(
         CheckItem("conformality |dF|=|phi|^2", conf, CONFORMALITY_TOL, conf < CONFORMALITY_TOL)
     )
 
-    closed = imm.diagnostics.get("closedness")
-    if closed is None:
-        closed = closedness_residual(build_alpha(phi))
-    items.append(CheckItem("closedness residual", closed, 1e-5, closed < 1e-5))
+    closed = imm.diagnostics["closedness"]
+    items.append(
+        CheckItem("closedness residual", closed, imm.tol_closed, closed <= imm.tol_closed)
+    )
 
     h_signed, _ = discrete_mean_curvature(imm)
     good = ~_branch_mask(imm)
@@ -456,9 +470,7 @@ def verify_immersion(
         CheckItem("period additivity", add_err / scale, PERIOD_TOL, add_err / scale < PERIOD_TOL)
     )
 
-    imm.diagnostics.update(
-        {"conformality": conf, "cmc_median_err": cmc_err, "closedness": closed}
-    )
+    imm.diagnostics.update({"conformality": conf, "cmc_median_err": cmc_err})
     return CheckReport(items)
 
 
@@ -520,14 +532,8 @@ def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None
                 fh.write(f_row % tuple(row.tolist()))
         sidecar_path = obj_path.rsplit(".", 1)[0] + ".json"
         sidecar = {
-            "periods": [list(map(float, imm.V1)), list(map(float, imm.V2))],
-            "H": imm.H,
+            **imm.summary(),
             "lambda": lam if lam is not None else imm.H,
-            "diagnostics": imm.diagnostics,
-            "branch_points": [
-                {"u": j / n, "v": l / n, "order": order}
-                for j, l, order in imm.branch_points
-            ],
             "copies": [k1, k2],
             "n_grid": n,
         }

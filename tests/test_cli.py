@@ -348,3 +348,69 @@ def test_check_and_surface_share_branch_order_verdict(tmp_path):
     branch = _check_items(tmp_path / "c")["branch orders even"]
     assert branch == surface_items["branch orders even"]
     assert branch["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "name, text, needle",
+    [("missing.json", None, "missing.json"), ("list.json", "[1, 2]", "not a JSON object"),
+     ("p.json", "p", "p.json: p:")],
+    ids=["missing", "non-object", "field"],
+)
+def test_resume_bad_file_exits_2_naming_file_or_field(tmp_path, capsys, name, text, needle):
+    from spintorus.cli import EXIT_VALIDATION, main
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    path = tmp_path / name
+    if text == "p":
+        data = constant_solution(make_lattice((1, 0), (0, 2)), SpinStructure(1, -1), 8).to_dict()
+        SOLUTION_DEFECTS["p"](data)
+        text = json.dumps(data)
+    if text is not None:
+        path.write_text(text)
+    code = main(["solve", "--resume", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: solution file {path}")
+    assert needle in err
+
+
+def test_surface_and_check_gate_closedness_at_tol_closed(tmp_path, capsys):
+    from spintorus.cli import main
+    from spintorus.fields import random_band_limited
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    lat, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
+    sol = constant_solution(lat, spin, 16)
+    sol.phi = sol.phi + 1e-4 * random_band_limited(lat, spin, 16, np.random.default_rng(7))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sol.to_dict()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_closed": 0.1}))
+    common = ["--solution", str(path), "--config", str(cfg)]
+    main(["check", *common, "--out", str(tmp_path / "c")])
+    main(["surface", "--verify-only", *common, "--out", str(tmp_path / "s")])
+    lines = [line for line in capsys.readouterr().out.splitlines() if "closedness" in line]
+    surface = json.loads((tmp_path / "s" / "surface_report.json").read_text())
+    surface_items = {item["name"]: item for item in surface["checks"]["checks"]}
+    closed = _check_items(tmp_path / "c")["closedness residual"]
+    assert closed == surface_items["closedness residual"]
+    assert closed["tol"] == 0.1 and closed["passed"] is True and closed["value"] > 1e-5
+    assert len(lines) == 2 and lines[0] == lines[1] and lines[0].startswith("[PASS]")
+
+
+def test_resume_reports_the_spectrum_of_the_solution_torus(tmp_path):
+    from spintorus.cli import EXIT_OK, main
+
+    torus = ["--v1", "1 0", "--v2", "0 2", "--eps", "+1 -1"]
+    assert main(["solve", *torus, "--grid", "16", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["spectrum", *torus, "--out", str(tmp_path / "a")]) == EXIT_OK
+    # No --v1/--v2: the config torus is the unit square, lambda1 sqrt(area) = pi.
+    assert main(["solve", "--resume", str(tmp_path / "a" / "solution.json"),
+                 "--out", str(tmp_path / "b")]) == EXIT_OK
+    resumed = json.loads((tmp_path / "b" / "solve_report.json").read_text())["spectrum"]
+    direct = json.loads((tmp_path / "a" / "spectrum_report.json").read_text())["spectrum"]
+    assert resumed["lambda1_sqrt_area"] == pytest.approx(math.pi / math.sqrt(2), rel=1e-12)
+    assert resumed["lambda1_sqrt_area"] == pytest.approx(direct["lambda1_sqrt_area"], rel=1e-12)
+    assert resumed["kernel_dim_complex"] == direct["kernel_dim_complex"]
