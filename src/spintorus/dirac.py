@@ -29,16 +29,28 @@ from .lattice import Lattice, SpinStructure
 DENSE_GRID_CAP = 24
 
 
-@lru_cache(maxsize=64)
-def _symbol(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
-    """Off-diagonal symbol entries (S_12, S_21) stacked as a (2, N, N) array."""
+@lru_cache(maxsize=4)
+def _symbol(lat: Lattice, spin: SpinStructure, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The only per-torus cache: the symbol entries (S_12, S_21) stacked as a
+    (2, N, N) array, and its modulus 2 pi |xi|, both read-only.
+
+    One pipeline run works on one torus, so a few entries cover the live set.
+    """
     xi_x, xi_y = mode_vectors(lat, spin, n)
-    return np.stack([2j * np.pi * (xi_x + 1j * xi_y), -2j * np.pi * (xi_x - 1j * xi_y)])
+    symbol = np.stack([2j * np.pi * (xi_x + 1j * xi_y), -2j * np.pi * (xi_x - 1j * xi_y)])
+    modulus = 2.0 * np.pi * np.hypot(xi_x, xi_y)
+    symbol.flags.writeable = modulus.flags.writeable = False
+    return symbol, modulus
+
+
+def symbol_modulus(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
+    """2 pi |xi| in fft2 index order: the modulus of D's eigenvalues (read-only)."""
+    return _symbol(lat, spin, n)[1]
 
 
 def apply_dirac(phi: SpinorField) -> SpinorField:
     """D phi, exact for band-limited fields: (S_12 u_minus, S_21 u_plus) modewise."""
-    symbol = _symbol(phi.lat, phi.spin, phi.n_grid)
+    symbol, _ = _symbol(phi.lat, phi.spin, phi.n_grid)
     return phi.with_u(spectral_apply(phi.u[::-1], symbol))
 
 
@@ -74,7 +86,7 @@ def _dft_pair(n: int):
 
 def dirac_dense_matrix(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     """Dense 2 N^2 x 2 N^2 matrix of apply_dirac in the sample basis."""
-    s12, s21 = _symbol(lat, spin, n)
+    s12, s21 = _symbol(lat, spin, n)[0]
     # D = F^* diag(symbol) F blockwise; assemble with dense DFT matrices.
     fwd, inv = _dft_pair(n)
     a12 = inv @ (s12.ravel()[:, None] * fwd)

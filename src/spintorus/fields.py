@@ -19,6 +19,8 @@ sum_{m,k} d[m,k] exp(2 pi i (m j + k l)/N) with d = fft2(u)/N^2 and integer
 modes m, k = N * fftfreq(N) (`mode_index_grid`).  The physical mode vector
 of index (m, k) is xi = (m + t1) gamma1* + (k + t2) gamma2* with t_i the
 shift pairings.  Every Fourier multiplier acts through `spectral_apply`.
+The mode grids here are plain functions that build fresh arrays on each
+call; the only per-torus cache is the Dirac symbol in `dirac.py`.
 
 Quadrature: integrals over the torus are uniform Riemann sums,
 integral f dvol ~= (area/N^2) sum_grid f, spectrally accurate for smooth
@@ -34,7 +36,6 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -139,12 +140,10 @@ def l2_norm(phi: SpinorField) -> float:
     return lp_norm(phi, 2.0)
 
 
-@lru_cache(maxsize=64)
 def mode_index_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer mode indices (m, k) of fft2 order on an N x N grid (read-only)."""
+    """Integer mode indices (m, k) of fft2 order on an N x N grid."""
     idx = np.fft.fftfreq(n, d=1.0 / n)
     mm, kk = np.meshgrid(idx, idx, indexing="ij")
-    mm.flags.writeable = kk.flags.writeable = False
     return mm, kk
 
 
@@ -158,32 +157,19 @@ def spectral_apply(arr: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(mult * arr_hat)
 
 
-@lru_cache(maxsize=64)
-def _mode_data(lat: Lattice, spin: SpinStructure, n: int):
-    """Per-(lattice, spin, N) cache: mode vectors and twist grids."""
-    modes = DualModeSet(lat, spin)
-    xi = modes.mode_vectors(*mode_index_grid(n))
-    xi_x = np.ascontiguousarray(xi[..., 0])
-    xi_y = np.ascontiguousarray(xi[..., 1])
-    t1, t2 = modes.pairings()
-    j = np.arange(n)
-    # exp(2 pi i <2 delta, x>) on the grid; 2 delta is in Gamma*, so this is
-    # the plain Fourier mode with integer pairings (2 t1, 2 t2).
-    twist_sq = np.exp(
-        2j * np.pi * (np.add.outer(2.0 * t1 * j, 2.0 * t2 * j)) / n
-    )
-    return xi_x, xi_y, twist_sq
-
-
 def mode_vectors(lat: Lattice, spin: SpinStructure, n: int):
     """Shifted mode component arrays (xi_x, xi_y), fft2 index order."""
-    xi_x, xi_y, _ = _mode_data(lat, spin, n)
-    return xi_x, xi_y
+    xi = DualModeSet(lat, spin).mode_vectors(*mode_index_grid(n))
+    return np.ascontiguousarray(xi[..., 0]), np.ascontiguousarray(xi[..., 1])
 
 
 def squared_twist_grid(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     """exp(2 pi i <2 delta, x>) sampled on the grid (for quadratic expressions)."""
-    return _mode_data(lat, spin, n)[2]
+    t1, t2 = DualModeSet(lat, spin).pairings()
+    j = np.arange(n)
+    # 2 delta is in Gamma*, so this is the plain Fourier mode with integer
+    # pairings (2 t1, 2 t2).
+    return np.exp(2j * np.pi * (np.add.outer(2.0 * t1 * j, 2.0 * t2 * j)) / n)
 
 
 def zero_field(lat: Lattice, spin: SpinStructure, n: int) -> SpinorField:

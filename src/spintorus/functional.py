@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import apply_dirac, project_out_kernel
+from .dirac import apply_dirac, project_out_kernel, symbol_modulus
 from .fields import (
     SpinorField,
     first_positive_eigenspinor,
     l2_inner,
     l2_norm,
     lp_norm,
-    mode_vectors,
     pointwise_power,
     random_band_limited,
     spectral_apply,
@@ -127,8 +126,7 @@ def _precondition(grad: SpinorField) -> SpinorField:
     The result is an ascent direction: the multiplier is positive definite
     on the kernel complement, so Re<G, P G> > 0 unless P G = 0.
     """
-    xi_x, xi_y = mode_vectors(grad.lat, grad.spin, grad.n_grid)
-    mult = (2.0 * np.pi * np.hypot(xi_x, xi_y)) ** 2
+    mult = symbol_modulus(grad.lat, grad.spin, grad.n_grid) ** 2
     inv = np.zeros_like(mult)
     nz = mult > 0.0
     inv[nz] = 1.0 / mult[nz]
@@ -160,7 +158,10 @@ def maximize_Fq(
     init: SpinorField,
     opts: MaximizeOptions | None = None,
 ) -> MaximizeResult:
-    """Ascend F_q from init; monotone in F_q across accepted steps."""
+    """Ascend F_q from init, a field on the torus (lat, spin); monotone in F_q
+    across accepted steps."""
+    if (init.lat, init.spin) != (lat, spin):
+        raise ValueError("init lives on another torus than (lat, spin)")
     opts = opts or MaximizeOptions()
     tol_grad = opts.tol_grad if opts.tol_grad is not None else 1e-8 * init.n_grid
 

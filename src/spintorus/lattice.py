@@ -169,28 +169,31 @@ def closed_form_spectrum(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    modes = DualModeSet(lat, spin)
-    gen_norm = max(
-        math.hypot(*lat.gamma1),
-        math.hypot(*lat.gamma2),
-        math.hypot(lat.gamma1[0] + lat.gamma2[0], lat.gamma1[1] + lat.gamma2[1]),
-    )
-    half_width = 4
-    while True:
-        mm, kk = modes.window(half_width)
-        xi = modes.mode_vectors(mm, kk)
-        radii = np.hypot(xi[..., 0], xi[..., 1]).ravel()
-        entries = _aggregate_levels(radii)
+    for _, _, radii, certified in _mode_windows(lat, spin):
+        entries = _aggregate_levels(radii.ravel())
         # Candidate order: by |value|, negatives first on ties.
         entries.sort(key=lambda e: (abs(e[0]), e[0]))
         if len(entries) >= count:
             selected = entries[:count]
-            needed_radius = max(abs(v) for v, _ in selected) / (2.0 * math.pi)
-            # Every mode with |xi| <= half_width / max|gamma| lies in the window,
-            # so the selection is certified complete below that radius.
-            if needed_radius < half_width / gen_norm:
-                selected.sort(key=lambda e: (e[0], e[1]))
-                return selected
+            if max(abs(v) for v, _ in selected) / (2.0 * math.pi) < certified:
+                return sorted(selected)
+
+
+def _mode_windows(lat: Lattice, spin: SpinStructure):
+    """Centered index windows (m, k) of doubling half-width h, each yielded with
+    its mode radii |xi| and the radius h / max|gamma_i| below which it holds
+    every mode.
+
+    For |xi| < h / max|gamma_i|: |m + t1| = |<xi, gamma1>| <= |xi| |gamma1| < h,
+    so |m| < h + 1/2, and |m| <= h as m and h are integers; likewise for k.
+    """
+    modes = DualModeSet(lat, spin)
+    gen_norm = max(math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
+    half_width = 4
+    while True:
+        mm, kk = modes.window(half_width)
+        xi = modes.mode_vectors(mm, kk)
+        yield mm, kk, np.hypot(xi[..., 0], xi[..., 1]), half_width / gen_norm
         half_width *= 2
 
 
@@ -223,24 +226,11 @@ def first_positive_eigenvalue(lat: Lattice, spin: SpinStructure) -> float:
 
 def first_eigenmode(lat: Lattice, spin: SpinStructure) -> tuple[int, int]:
     """Integer index (m, k) of a shortest nonzero mode, deterministic tie-break."""
-    modes = DualModeSet(lat, spin)
-    gen_norm = max(math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
-    half_width = 4
-    while True:
-        mm, kk = modes.window(half_width)
-        xi = modes.mode_vectors(mm, kk)
-        radii = np.hypot(xi[..., 0], xi[..., 1])
-        flat = [
-            (radii[i, j], int(mm[i, j]), int(kk[i, j]))
-            for i in range(mm.shape[0])
-            for j in range(mm.shape[1])
-            if radii[i, j] > 1e-14
-        ]
-        flat.sort()
-        r_min = flat[0][0]
-        if r_min < half_width / gen_norm:
-            return flat[0][1], flat[0][2]
-        half_width *= 2  # pragma: no cover
+    for mm, kk, radii, certified in _mode_windows(lat, spin):
+        nonzero = radii > 1e-14
+        r_min, m, k = min(zip(radii[nonzero], mm[nonzero], kk[nonzero]))
+        if r_min < certified:
+            return int(m), int(k)
 
 
 def sphere_lambda_min(n: int) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import apply_dirac, project_out_kernel
+from .dirac import apply_dirac, project_out_kernel, symbol_modulus
 from .fields import (
     SpinorField,
     eigenvector_at_mode,
@@ -36,7 +36,6 @@ from .fields import (
     l2_inner,
     l2_norm,
     lp_norm,
-    mode_vectors,
     pointwise_norm,
     pointwise_power,
     pure_mode_field,
@@ -166,8 +165,7 @@ def _fourier_preconditioner(lat, spin, n, shift, n_extra):
     """SPD approximate inverse: modewise 1/(2 pi |xi| + shift) on both components."""
     import scipy.sparse.linalg
 
-    xi_x, xi_y = mode_vectors(lat, spin, n)
-    inv = 1.0 / (2.0 * np.pi * np.hypot(xi_x, xi_y) + shift)
+    inv = 1.0 / (symbol_modulus(lat, spin, n) + shift)
     dim = 4 * n * n + n_extra
 
     def mv(x):

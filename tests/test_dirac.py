@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from spintorus.dirac import (
     dirac_spectrum_numeric,
     kernel_dimension,
     project_out_kernel,
+    symbol_modulus,
 )
 from spintorus.fields import (
     SpinorField,
@@ -17,6 +20,7 @@ from spintorus.fields import (
     mode_vectors,
     pure_mode_field,
     random_band_limited,
+    zero_field,
 )
 from spintorus.lattice import SpinStructure, closed_form_spectrum, make_lattice
 
@@ -128,3 +132,36 @@ def test_project_out_kernel_orthogonality(rng):
     const = SpinorField(SQ, TRIV, np.ones((n, n), complex), np.ones((n, n), complex))
     out = project_out_kernel(phi)
     assert abs(l2_inner(out, const)) < 1e-13
+
+
+def test_symbol_cache_drops_old_tori():
+    # One torus is live at a time; after 20 tori the cache holds only a few.
+    n = 64
+    symbol_bytes = 2 * n * n * 16
+    tracemalloc.start()
+    try:
+        for i in range(20):
+            lat = make_lattice((1.0, 0.0), (0.0123 * i, 1.0 + 0.0371 * i))
+            apply_dirac(zero_field(lat, NT, n))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * symbol_bytes
+
+
+def test_mutating_mode_vectors_leaves_dirac_intact():
+    lat = make_lattice((1.0, 0.0), (0.37, 1.13))  # a torus no other test builds
+    xi_x, xi_y = mode_vectors(lat, NT, 8)
+    xi_x[...] = 0.0
+    xi_y[...] = 0.0
+    lam, vp, vm = eigenvector_at_mode(lat, NT, 1, -2)
+    phi = pure_mode_field(lat, NT, 8, 1, -2, vp, vm)
+    assert l2_norm(apply_dirac(phi) - lam * phi) < 1e-12 * lam
+
+
+def test_symbol_modulus_is_read_only_eigenvalue_modulus():
+    lat = make_lattice((1.2, 0), (-0.4, 0.9))
+    modulus = symbol_modulus(lat, NT, 8)
+    assert not modulus.flags.writeable
+    assert modulus[1, -2] == pytest.approx(eigenvector_at_mode(lat, NT, 1, -2)[0], rel=1e-14)

@@ -124,6 +124,15 @@ def test_maximize_fixed_point_returns_immediately():
     assert result.mu == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "lat, spin", [(make_lattice((1, 0), (0, 2)), NT), (SQ, SpinStructure(-1, 1))]
+)
+def test_maximize_rejects_init_on_another_torus(lat, spin):
+    init = first_positive_eigenspinor(SQ, NT, 12)
+    with pytest.raises(ValueError, match="another torus"):
+        maximize_Fq(lat, spin, 2.0, init)
+
+
 def test_mu_monotone_two_exponents(rng):
     init = first_positive_eigenspinor(SQ, NT, 12)
     init = init + 0.03 * random_band_limited(SQ, NT, 12, rng)

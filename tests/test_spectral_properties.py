@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintorus.dirac import apply_dirac
+from spintorus.dirac import apply_dirac, dirac_spectrum_numeric
 from spintorus.fields import SpinorField, l2_inner, l2_norm, mode_vectors
 from spintorus.functional import functional_Fq
-from spintorus.lattice import Lattice, SpinStructure
+from spintorus.lattice import Lattice, SpinStructure, closed_form_spectrum
 from spintorus.solver import Solution, constant_solution
 from spintorus.weierstrass import build_alpha, integrate_immersion, verify_immersion
 
@@ -161,3 +161,17 @@ def test_verify_immersion_passes_on_constant_solutions(lat, spin):
     report = verify_immersion(imm, sol.phi, H=sol.lam)
     assert report.passed, report.summary_lines()
     assert [item.name for item in report.items][-1] == "period additivity"
+
+
+@settings(deadline=None, max_examples=20)
+@given(reduced_lattices(), st.sampled_from(SpinStructure.all_four()))
+def test_closed_form_spectrum_matches_dense_oracle(lat, spin):
+    dense = np.array([pair.value for pair in dirac_spectrum_numeric(lat, spin, 12, 12)])
+    # Compare whole levels only: a cut through a degenerate level would
+    # depend on the round-off order of its dense eigenvalues.
+    cut = np.max(np.abs(dense)) * (1.0 - 1e-9)
+    levels = closed_form_spectrum(lat, spin, 12)
+    want = sorted(v for v, mult in levels for _ in range(mult) if abs(v) < cut)
+    got = np.sort(dense[np.abs(dense) < cut])
+    assert len(got) == len(want)
+    assert np.max(np.abs(got - np.array(want)), initial=0.0) <= 1e-10 * cut

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spintorus.fields import SpinorField, random_band_limited, zero_field
+from spintorus.fields import (
+    SpinorField,
+    random_band_limited,
+    squared_twist_grid,
+    zero_field,
+)
 from spintorus.lattice import SpinStructure, make_lattice
 from spintorus.solver import constant_solution
 from spintorus.weierstrass import (
@@ -286,3 +291,12 @@ def test_export_mesh_rejects_bad_copies(tmp_path):
     imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
     with pytest.raises(ValueError):
         export_mesh(imm, (0, 1), tmp_path / "x.obj")
+
+
+def test_zeroing_the_twist_grid_leaves_alpha_intact(rng):
+    lat = make_lattice((1.0, 0.0), (0.29, 1.31))  # a torus no other test builds
+    spin = SpinStructure(-1, 1)
+    phi = random_band_limited(lat, spin, 8, rng)
+    before = build_alpha(phi).a
+    squared_twist_grid(lat, spin, 8)[...] = 0.0
+    assert np.array_equal(build_alpha(phi).a, before)
