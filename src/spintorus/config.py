@@ -79,13 +79,7 @@ class RunConfig:
         )
 
     def as_dict(self) -> dict:
-        data = asdict(self)
-        data["v1"] = list(self.v1)
-        data["v2"] = list(self.v2)
-        data["p_values"] = list(self.p_values)
-        data["q_values"] = list(self.q_values)
-        data["copies"] = list(self.copies)
-        return data
+        return asdict(self)
 
 
 _PAIRS = {"v1": float, "v2": float, "copies": int}

@@ -75,20 +75,18 @@ class EigenPair:
         return l2_norm(apply_dirac(self.field) - self.value * self.field)
 
 
-@lru_cache(maxsize=8)
-def _dft_pair(n: int):
+def dirac_dense_matrix(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
+    """Dense 2 N^2 x 2 N^2 matrix of apply_dirac in the sample basis.
+
+    The dense DFT matrices are built per call and not cached.
+    """
     import scipy.linalg
 
-    f1 = scipy.linalg.dft(n)  # unnormalized forward DFT
-    fwd = np.kron(f1, f1)
-    return fwd, fwd.conj().T / n**2
-
-
-def dirac_dense_matrix(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
-    """Dense 2 N^2 x 2 N^2 matrix of apply_dirac in the sample basis."""
     s12, s21 = _symbol(lat, spin, n)[0]
     # D = F^* diag(symbol) F blockwise; assemble with dense DFT matrices.
-    fwd, inv = _dft_pair(n)
+    f1 = scipy.linalg.dft(n)  # unnormalized forward DFT
+    fwd = np.kron(f1, f1)
+    inv = fwd.conj().T / n**2
     a12 = inv @ (s12.ravel()[:, None] * fwd)
     a21 = inv @ (s21.ravel()[:, None] * fwd)
     dim = n * n

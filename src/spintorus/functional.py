@@ -36,7 +36,7 @@ from .fields import (
     spectral_apply,
 )
 from .lattice import Lattice, SpinStructure
-from .solver import Solution, residual_field
+from .solver import Solution
 
 Q_CRITICAL = 4.0 / 3.0
 
@@ -229,16 +229,8 @@ def normalize_euler_lagrange(
     factor = pointwise_power(w, q - 2.0)
     zero_count = int(np.count_nonzero(w == 0.0))
     phi = phi_max.with_u(factor * dphi.u)
-    lam = 1.0 / mu_q
-    res = l2_norm(residual_field(phi, lam, p))
-    return Solution(
-        phi=phi,
-        lam=lam,
-        p=p,
-        residual=res,
-        norm_p=lp_norm(phi, p),
-        trace=[],
-        meta={"dphi_zero_points": zero_count, "source": "euler-lagrange"},
+    return Solution.of(
+        phi, 1.0 / mu_q, p, meta={"dphi_zero_points": zero_count, "source": "euler-lagrange"}
     )
 
 

@@ -39,6 +39,7 @@ from .fields import (
     pointwise_norm,
     pointwise_power,
     pure_mode_field,
+    random_band_limited,
     spectral_apply,
     spinor_from_dict,
     spinor_to_dict,
@@ -89,6 +90,12 @@ class Solution:
         data["trace"] = self.trace
         data["meta"] = self.meta
         return data
+
+    @classmethod
+    def of(cls, phi: SpinorField, lam: float, p: float, **fields) -> "Solution":
+        """Solution of (phi, lambda, p); residual and norm_p are computed from them."""
+        residual = l2_norm(residual_field(phi, lam, p))
+        return cls(phi=phi, lam=lam, p=p, residual=residual, norm_p=lp_norm(phi, p), **fields)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Solution":
@@ -150,9 +157,14 @@ def _unpack(x, n):
     return parts[:, 0] + 1j * parts[:, 1], x[4 * n * n :]
 
 
-def _minres(op, b, rtol, M):
+def _minres(matvec, b, rtol, precond):
+    """Preconditioned MINRES for matvec(x) = b: the solver's only SciPy entry."""
     import scipy.sparse.linalg
 
+    op, M = (
+        scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=f, dtype=float)
+        for f in (matvec, precond)
+    )
     kwargs = {"maxiter": MINRES_MAXITER, "M": M}
     try:
         x, _ = scipy.sparse.linalg.minres(op, b, rtol=rtol, **kwargs)
@@ -161,18 +173,15 @@ def _minres(op, b, rtol, M):
     return x
 
 
-def _fourier_preconditioner(lat, spin, n, shift, n_extra):
+def _fourier_preconditioner(lat, spin, n, shift):
     """SPD approximate inverse: modewise 1/(2 pi |xi| + shift) on both components."""
-    import scipy.sparse.linalg
-
     inv = 1.0 / (symbol_modulus(lat, spin, n) + shift)
-    dim = 4 * n * n + n_extra
 
     def mv(x):
         u, extra = _unpack(x, n)
         return _pack(spectral_apply(u, inv), extra)
 
-    return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv, dtype=float)
+    return mv
 
 
 def solve_at_exponent(
@@ -224,10 +233,6 @@ def solve_at_exponent(
         gap = norm_gap(v) if bordered else 0.0
         return res, gap, math.hypot(res, gap), r
 
-    # Unknowns: phi, (lambda in normalized mode), and one Lagrange multiplier
-    # anchoring the U(1) phase; the multiplier row/column keeps the bordered
-    # operator symmetric and removes the exact gauge null vector (i phi, 0).
-    n_extra = (1 if bordered else 0) + 1
     newton_iters = 0
     res, gap, total, r = merit(u, lam)
     for newton_iters in range(1, schedule.max_newton + 1):
@@ -236,12 +241,19 @@ def solve_at_exponent(
             break
         absphi = pointwise_norm(u)
         w2 = pointwise_power(absphi, p - 2.0)
-        inv_abs = np.zeros_like(absphi)
-        mask = absphi > 0.0
-        inv_abs[mask] = 1.0 / absphi[mask]
-        hat = u * inv_abs
-        g = w2 * u
-        c = 1j * u  # phase anchor d/dtheta e^{i theta} phi
+        hat = u * pointwise_power(absphi, -1.0)
+
+        # Unknowns beyond phi, one per border (column, rhs): the unknown e adds
+        # e * column to the phi rows of the Jacobian, and the row
+        # Re<column, psi> = rhs is appended, so the bordered operator stays
+        # symmetric.  lambda's column is -|phi|^{p-2} phi (normalized mode only;
+        # its row is the linearized norm constraint); the column i phi is a
+        # Lagrange multiplier anchoring the U(1) phase, which removes the exact
+        # gauge null vector (i phi, 0): the step must not rotate the phase.
+        borders = [(1j * u, 0.0)]
+        if bordered:
+            norm_rhs = -(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa
+            borders.insert(0, (-(w2 * u), norm_rhs))
 
         def jac_mv(x):
             psi, extra = _unpack(x, n)
@@ -249,29 +261,17 @@ def solve_at_exponent(
             # derivative of |phi|^{p-2} phi along psi
             dn = w2 * psi + (p - 2.0) * w2 * cross * hat
             out = apply_dirac(phi0.with_u(psi)).u - lam * dn
-            rows = []
-            if bordered:
-                out -= extra[0] * g
-                rows.append(-float(np.sum((np.conj(g) * psi).sum(axis=0).real)))
-            out += extra[-1] * c
-            rows.append(float(np.sum((np.conj(c) * psi).sum(axis=0).real)))
+            for e, (col, _) in zip(extra, borders):
+                out += e * col
+            rows = [float(np.sum((np.conj(col) * psi).sum(axis=0).real)) for col, _ in borders]
             return _pack(out, np.array(rows))
 
-        import scipy.sparse.linalg
-
-        dim = 4 * n * n + n_extra
-        op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=jac_mv, dtype=float)
-        rows_rhs = []
-        if bordered:
-            rows_rhs.append(-(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa)
-        rows_rhs.append(0.0)  # the step must not rotate the phase
-        b = -_pack(r, np.array(rows_rhs))
+        b = -_pack(r, np.array([rhs for _, rhs in borders]))
         prec = _fourier_preconditioner(
-            lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0)), n_extra=n_extra
+            lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0))
         )
         eta = max(min(1e-4, 0.1 * res), 1e-12)
-        x = _minres(op, b, rtol=eta, M=prec)
-        step, extra = _unpack(x, n)
+        step, extra = _unpack(_minres(jac_mv, b, rtol=eta, precond=prec), n)
 
         t = 1.0
         while t >= DAMPING_MIN:
@@ -299,19 +299,11 @@ def solve_at_exponent(
     phi = phi0.with_u(u)
     if spin.is_trivial and abs(p - 2.0) < 1e-12:
         phi = project_out_kernel(phi)
-    sol = Solution(
-        phi=phi,
-        lam=lam,
-        p=p,
-        residual=l2_norm(residual_field(phi, lam, p)),
-        norm_p=lp_norm(phi, p),
-        meta={"newton_iters": newton_iters},
-    )
-    if sol.lam <= 0.0:
+    if lam <= 0.0:
         raise ContinuationError(
-            f"converged to a non-positive branch lambda={sol.lam:.3e} at p={p}", []
+            f"converged to a non-positive branch lambda={lam:.3e} at p={p}", []
         )
-    return sol
+    return Solution.of(phi, lam, p, meta={"newton_iters": newton_iters})
 
 
 def solve_critical(
@@ -333,8 +325,6 @@ def solve_critical(
     if init is None:
         phi = first_positive_eigenspinor(work_lat, spin, n_grid)
         if perturbation > 0.0:
-            from .fields import random_band_limited
-
             rng = np.random.default_rng(seed)
             phi = phi + perturbation * random_band_limited(work_lat, spin, n_grid, rng)
     else:
@@ -382,15 +372,8 @@ def constant_solution(
     area = lat.area
     c = area ** (-0.25)
     phi = pure_mode_field(lat, spin, n_grid, m, k, c * vp, c * vm)
-    lam = lam1 * math.sqrt(area)
-    res = l2_norm(residual_field(phi, lam, 4.0))
-    return Solution(
-        phi=phi,
-        lam=lam,
-        p=4.0,
-        residual=res,
-        norm_p=lp_norm(phi, 4.0),
-        meta={"source": "constant-branch", "mode": [m, k]},
+    return Solution.of(
+        phi, lam1 * math.sqrt(area), 4.0, meta={"source": "constant-branch", "mode": [m, k]}
     )
 
 

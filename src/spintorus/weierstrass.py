@@ -97,6 +97,16 @@ class Immersion:
     def n_grid(self) -> int:
         return self.F.shape[0]
 
+    def at(self, j, l) -> np.ndarray:
+        """F at integer grid indices (j, l) of the universal cover (broadcast):
+        F[j mod N, l mod N] + (j div N) V1 + (l div N) V2."""
+        n = self.n_grid
+        return (
+            self.F[j % n, l % n]
+            + np.multiply.outer(j // n, self.V1)
+            + np.multiply.outer(l // n, self.V2)
+        )
+
     def period(self, n1: int, n2: int) -> np.ndarray:
         """Period homomorphism on n1 gamma1 + n2 gamma2 (additive by construction)."""
         return n1 * self.V1 + n2 * self.V2
@@ -321,20 +331,6 @@ def count_zeros(
 _NEIGHBOR_CYCLE = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
-def _shifted_positions(imm: Immersion, dj: int, dl: int) -> np.ndarray:
-    """F at grid point (j+dj, l+dl) with the period offsets across wraps."""
-    out = np.roll(imm.F, (-dj, -dl), axis=(0, 1)).copy()
-    if dj == 1:
-        out[-1, :, :] += imm.V1
-    elif dj == -1:
-        out[0, :, :] -= imm.V1
-    if dl == 1:
-        out[:, -1, :] += imm.V2
-    elif dl == -1:
-        out[:, 0, :] -= imm.V2
-    return out
-
-
 def _cot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """cot of the angle between vector fields a, b (last axis 3)."""
     dots = np.sum(a * b, axis=-1)
@@ -348,8 +344,11 @@ def discrete_mean_curvature(imm: Immersion):
     Returns (h_signed, normals); sign convention H = -(Lap F . n)/2 with the
     counterclockwise parameter normal (calibration cylinder is positive).
     """
+    n = imm.n_grid
     v = imm.F
-    nbrs = [_shifted_positions(imm, dj, dl) for dj, dl in _NEIGHBOR_CYCLE]
+    idx = np.arange(-1, n + 1)
+    collar = imm.at(idx[:, None], idx[None, :])  # the grid plus a one-cell collar
+    nbrs = [collar[1 + dj : n + 1 + dj, 1 + dl : n + 1 + dl] for dj, dl in _NEIGHBOR_CYCLE]
     shape = v.shape[:2]
     lap = np.zeros_like(v)
     area = np.zeros(shape)
@@ -443,14 +442,18 @@ def verify_immersion(
 
     h_signed, _ = discrete_mean_curvature(imm)
     good = ~_branch_mask(imm)
-    if H is not None and np.any(good):
+    cmc_err, note = math.nan, ""
+    if H is None:
+        note = "no H"
+    elif not np.any(good):
+        note = "every vertex lies near a branch point"
+    else:
         scale = max(abs(H), 1e-300)
         rel = np.abs(h_signed[good] - H) / scale if H != 0 else np.abs(h_signed[good])
         cmc_err = float(np.median(rel))
-        items.append(CheckItem("cmc median relative error", cmc_err, cmc_tol, cmc_err < cmc_tol))
-    else:  # pragma: no cover - no target curvature supplied
-        cmc_err = math.nan
-        items.append(CheckItem("cmc median relative error", cmc_err, cmc_tol, False, "no H"))
+    items.append(
+        CheckItem("cmc median relative error", cmc_err, cmc_tol, cmc_err < cmc_tol, note)
+    )
 
     orders_even = all(order % 2 == 0 and order > 0 for _, _, order in imm.branch_points)
     items.append(
@@ -504,15 +507,7 @@ def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None
     n = imm.n_grid
     rows = k1 * n + 1
     cols = k2 * n + 1
-    jj = np.arange(rows)
-    ll = np.arange(cols)
-    jg, lg = np.meshgrid(jj, ll, indexing="ij")
-    base = imm.F[jg % n, lg % n]
-    verts = (
-        base
-        + (jg // n)[..., None] * imm.V1[None, None, :]
-        + (lg // n)[..., None] * imm.V2[None, None, :]
-    ).reshape(rows, 3 * cols)
+    verts = imm.at(np.arange(rows)[:, None], np.arange(cols)[None, :]).reshape(rows, 3 * cols)
     # Cell (a, b) gets triangles (v00, v10, v11) and (v00, v11, v01), where
     # v00 = a cols + b + 1 is the 1-based id of grid vertex (a, b).
     v00 = np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)[None, :] + 1

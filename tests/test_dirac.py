@@ -150,6 +150,21 @@ def test_symbol_cache_drops_old_tori():
     assert held < 8 * symbol_bytes
 
 
+def test_dense_oracle_holds_no_memory_after_its_spectrum():
+    # Grid sizes no other test diagonalizes, so nothing of them exists yet;
+    # the N=4 call loads scipy.linalg before tracing starts.
+    dirac_spectrum_numeric(SQ, NT, 4, 2)
+    tracemalloc.start()
+    try:
+        for n in (10, 14, 18):
+            dirac_spectrum_numeric(SQ, NT, n, 2)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+
+
 def test_mutating_mode_vectors_leaves_dirac_intact():
     lat = make_lattice((1.0, 0.0), (0.37, 1.13))  # a torus no other test builds
     xi_x, xi_y = mode_vectors(lat, NT, 8)

@@ -138,6 +138,26 @@ def test_branch_point_detected_with_even_order():
     assert order == 2
 
 
+def _cmc_item(report):
+    return next(item for item in report.items if item.name == "cmc median relative error")
+
+
+def test_cmc_item_names_branch_points_when_every_vertex_is_near_one():
+    phi = synthetic_one_zero_field(n=6)
+    imm = integrate_immersion(build_alpha(phi), H=1.0, tol_closed=math.inf)
+    item = _cmc_item(verify_immersion(imm, phi, H=1.0))
+    assert math.isnan(item.value) and not item.passed
+    assert item.note == "every vertex lies near a branch point"
+
+
+def test_cmc_item_says_no_h_without_a_target_curvature():
+    sol = constant_solution(SQ, NT, 16)
+    imm = integrate_immersion(build_alpha(sol.phi))
+    item = _cmc_item(verify_immersion(imm, sol.phi))
+    assert math.isnan(item.value) and not item.passed
+    assert item.note == "no H"
+
+
 def test_count_zeros_synthetic_field():
     phi = synthetic_one_zero_field()
     zc = count_zeros(phi, lam=4.0)
