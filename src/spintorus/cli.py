@@ -24,7 +24,7 @@ from .functional import (
     MaximizeOptions,
     mu_curve,
 )
-from .lattice import closed_form_spectrum, first_positive_eigenvalue
+from .lattice import InvalidLatticeError, closed_form_spectrum, first_positive_eigenvalue
 from .report import (
     CheckReport,
     dump_report,
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidLatticeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ContinuationError, DegenerateFieldError, IterationLimitError) as exc:

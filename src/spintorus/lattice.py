@@ -24,8 +24,16 @@ from fractions import Fraction
 import numpy as np
 
 
+#: Largest half-width of the index windows searched for the shortest modes.  A
+#: torus that a grid of at most 512 points resolves needs far less; a skewed one
+#: that needs more ends in InvalidLatticeError instead of exhausting memory.
+MAX_HALF_WIDTH = 512
+
+
 class InvalidLatticeError(ValueError):
-    """Degenerate lattice generators (zero determinant)."""
+    """Generators that span no usable lattice: non-finite, not positively
+    oriented, or so skewed that no mode window up to MAX_HALF_WIDTH certifies
+    its shortest modes."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,11 @@ class Lattice:
     gamma2: tuple[float, float]
 
     def __post_init__(self):
-        if self.det() <= 0.0:
+        if not all(map(math.isfinite, self.gamma1 + self.gamma2)):
+            raise InvalidLatticeError(
+                f"generators must be finite, got {self.gamma1}, {self.gamma2}"
+            )
+        if not self.det() > 0.0:
             raise InvalidLatticeError(
                 f"generators must be positively oriented, det={self.det()}"
             )
@@ -190,11 +202,15 @@ def _mode_windows(lat: Lattice, spin: SpinStructure):
     modes = DualModeSet(lat, spin)
     gen_norm = max(math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
     half_width = 4
-    while True:
+    while half_width <= MAX_HALF_WIDTH:
         mm, kk = modes.window(half_width)
         xi = modes.mode_vectors(mm, kk)
         yield mm, kk, np.hypot(xi[..., 0], xi[..., 1]), half_width / gen_norm
         half_width *= 2
+    raise InvalidLatticeError(
+        f"lattice: generators {lat.gamma1}, {lat.gamma2} are too skewed: no mode "
+        f"window of half-width <= {MAX_HALF_WIDTH} certifies its shortest modes"
+    )
 
 
 def _aggregate_levels(radii: np.ndarray) -> list[tuple[float, int]]:

@@ -11,6 +11,10 @@ with lambda an unknown.  The nonlinearity is not complex-differentiable, so
 the Jacobian is assembled as a real-linear operator over (Re, Im) parts; it
 is symmetric, the normalization row is scaled to match the lambda column,
 and the linear solves use MINRES with a Fourier-diagonal preconditioner.
+That MINRES is a port of SciPy's sparse.linalg.minres (Paige-Saunders) that
+repeats its arithmetic operation for operation, so its iterates are
+bit-identical to SciPy's; it also returns SciPy's exit flag and iteration
+count, which a failing Newton solve reports, and keeps SciPy out of the import.
 The equation is U(1)-equivariant, so i*phi would be an exact null vector of
 the plain Jacobian; one more symmetric bordering row/column anchors the
 phase of the step and keeps the Krylov solves well posed.
@@ -157,20 +161,107 @@ def _unpack(x, n):
     return parts[:, 0] + 1j * parts[:, 1], x[4 * n * n :]
 
 
-def _minres(matvec, b, rtol, precond):
-    """Preconditioned MINRES for matvec(x) = b: the solver's only SciPy entry."""
-    import scipy.sparse.linalg
+#: What each MINRES exit flag (SciPy's istop) means, by the test that set it.
+MINRES_EXITS = {
+    -1: "b is an eigenvector of the preconditioned operator",
+    0: "zero right-hand side",
+    1: "residual below rtol",
+    2: "least-squares residual below rtol",
+    3: "accuracy limit of eps reached",
+    4: "condition estimate above 0.1/eps",
+    6: "iteration limit",
+}
 
-    op, M = (
-        scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=f, dtype=float)
-        for f in (matvec, precond)
-    )
-    kwargs = {"maxiter": MINRES_MAXITER, "M": M}
-    try:
-        x, _ = scipy.sparse.linalg.minres(op, b, rtol=rtol, **kwargs)
-    except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
-        x, _ = scipy.sparse.linalg.minres(op, b, tol=rtol, **kwargs)
-    return x
+
+def _minres(matvec, b, rtol, precond):
+    """Preconditioned MINRES (Paige-Saunders) for the symmetric matvec(x) = b.
+
+    Operation for operation the iteration of SciPy's sparse.linalg.minres
+    with x0 = 0, shift = 0 and maxiter = MINRES_MAXITER, so x is bit-identical
+    to SciPy's.  precond must be symmetric positive definite; matvec and
+    precond must return new arrays, which the loop updates in place.  Returns
+    (x, istop, itn): the exit flag (a key of MINRES_EXITS) and the iteration
+    count.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros(b.size)
+    r1 = b
+    y = precond(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0, 0
+    if np.linalg.norm(b) == 0:
+        return b, 0, 0
+    beta1 = math.sqrt(beta1)
+
+    oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
+    tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
+    cs, sn = -1, 0
+    w = w2 = np.zeros(b.size)
+    r2 = r1
+    istop = itn = 0
+    while itn < MINRES_MAXITER:
+        itn += 1
+        # Lanczos step on the preconditioned operator.  Updates run in place
+        # on arrays the loop owns, with the bits of SciPy's out-of-place forms:
+        # a process that never imports SciPy keeps glibc's small default malloc
+        # trim threshold, and there fresh temporaries made Newton solves at
+        # N=64 about 10% slower through page faults.
+        v = y
+        v *= 1.0 / beta
+        y = matvec(v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        oldb, beta = beta, np.inner(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1
+
+        # Apply the previous Givens rotation, then compute the next one.
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+
+        w1, w2 = w2, w
+        w = v
+        w -= oldeps * w1
+        w -= delta * w2
+        w *= 1.0 / gamma
+        x += phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+
+        # Stopping tests on ||r|| / (||A|| ||x||) and ||Ar|| / (||A|| ||r||).
+        anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
+        test2 = np.inf if anorm == 0 else root / anorm
+        if istop == 0:
+            # SciPy runs these tests in the reverse order, each overriding the
+            # last, so the first one that holds here is the one that wins there.
+            tests = (
+                (test1 <= rtol, 1), (test2 <= rtol, 2), (anorm * ynorm * eps >= beta1, 3),
+                (gmax / gmin >= 0.1 / eps, 4), (itn >= MINRES_MAXITER, 6),
+                (1 + test1 <= 1, 1), (1 + test2 <= 1, 2),
+            )
+            istop = next((flag for hit, flag in tests if hit), 0)
+        if istop != 0:
+            break
+    return x, istop, itn
 
 
 def _fourier_preconditioner(lat, spin, n, shift):
@@ -234,6 +325,7 @@ def solve_at_exponent(
         return res, gap, math.hypot(res, gap), r
 
     newton_iters = 0
+    last_solve = "none"
     res, gap, total, r = merit(u, lam)
     for newton_iters in range(1, schedule.max_newton + 1):
         if res < tol_solve and abs(gap) < schedule.tol_norm:
@@ -271,7 +363,9 @@ def solve_at_exponent(
             lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0))
         )
         eta = max(min(1e-4, 0.1 * res), 1e-12)
-        step, extra = _unpack(_minres(jac_mv, b, rtol=eta, precond=prec), n)
+        x, istop, itn = _minres(jac_mv, b, rtol=eta, precond=prec)
+        last_solve = f"exit {istop} ({MINRES_EXITS[istop]}) after {itn} iterations"
+        step, extra = _unpack(x, n)
 
         t = 1.0
         while t >= DAMPING_MIN:
@@ -286,13 +380,14 @@ def solve_at_exponent(
         else:
             raise ContinuationError(
                 f"Newton stalled at p={p}: residual={res:.3e}, damping exhausted "
-                "(singular Jacobian near kernel directions: perturb the init)",
+                "(singular Jacobian near kernel directions: perturb the init); "
+                f"last MINRES solve: {last_solve}",
                 trace=[],
             )
     else:
         raise ContinuationError(
             f"Newton did not converge at p={p}: residual={res:.3e} after "
-            f"{schedule.max_newton} iterations",
+            f"{schedule.max_newton} iterations; last MINRES solve: {last_solve}",
             trace=[],
         )
 

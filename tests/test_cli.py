@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -414,3 +415,34 @@ def test_resume_reports_the_spectrum_of_the_solution_torus(tmp_path):
     assert resumed["lambda1_sqrt_area"] == pytest.approx(math.pi / math.sqrt(2), rel=1e-12)
     assert resumed["lambda1_sqrt_area"] == pytest.approx(direct["lambda1_sqrt_area"], rel=1e-12)
     assert resumed["kernel_dim_complex"] == direct["kernel_dim_complex"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_generator_exits_2_naming_lattice(tmp_path, capsys, bad):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    argv = ["--v1", "1 0", "--v2", f"{bad} 2", "--eps", "+1 -1", "--out", str(tmp_path)]
+    assert main(["solve", *argv]) == EXIT_VALIDATION
+    assert "configuration error: lattice:" in capsys.readouterr().err
+
+
+SKEWED_TORUS_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from spintorus.cli import main
+sys.exit(main(["spectrum", "--v1", "1 0", "--v2", "0 1e-9", "--eps", "+1 -1",
+               "--out", sys.argv[1]]))
+"""
+
+
+def test_very_skewed_torus_exits_2_naming_lattice(tmp_path):
+    # Its first mode has |xi| ~ 5e8.  The address space is capped at 1 GiB so
+    # that a mode-window search without bound ends in MemoryError at once
+    # instead of exhausting the machine's memory.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", SKEWED_TORUS_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 2, result.stderr[-2000:]
+    assert "configuration error: lattice: generators" in result.stderr

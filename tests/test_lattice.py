@@ -139,3 +139,11 @@ def test_spectrum_count_validation():
 def test_lattice_unit_area():
     lat = make_lattice((2, 0), (0.5, 3)).unit_area()
     assert lat.area == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_generators_rejected(bad):
+    with pytest.raises(InvalidLatticeError, match="finite"):
+        make_lattice((1, 0), (bad, 2))
+    with pytest.raises(InvalidLatticeError, match="finite"):
+        make_lattice((bad, 0), (0, 2))

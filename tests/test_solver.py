@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,3 +179,116 @@ def test_init_lattice_mismatch_rejected():
     init = first_positive_eigenspinor(lat, NT, 16)  # not unit area
     with pytest.raises(ValueError):
         solve_critical(lat, NT, init=init, n_grid=16)
+
+
+def _indefinite_system(n, seed):
+    """Seeded symmetric indefinite A, right-hand side b, SPD diagonal d."""
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    eig = gen.uniform(0.5, 5.0, n) * gen.choice([-1.0, 1.0], n)
+    a = (q * eig) @ q.T
+    return (a + a.T) / 2.0, gen.standard_normal(n), gen.uniform(0.5, 2.0, n)
+
+
+def _scipy_minres(a, b, rtol, diag, maxiter):
+    """SciPy's MINRES with its iteration count, counted by the callback."""
+    import scipy.sparse.linalg as spla
+
+    op, prec = (
+        spla.LinearOperator(a.shape, matvec=f, dtype=float)
+        for f in (lambda v: a @ v, lambda v: diag * v)
+    )
+    calls = []
+    kwargs = {"maxiter": maxiter, "M": prec, "callback": calls.append}
+    try:
+        x, _ = spla.minres(op, b, rtol=rtol, **kwargs)
+    except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
+        x, _ = spla.minres(op, b, tol=rtol, **kwargs)
+    return x, len(calls)
+
+
+@pytest.mark.parametrize("n, seed, rtol", [(50, 1, 1e-10), (137, 2, 1e-4), (400, 3, 1e-8)])
+def test_minres_is_bit_identical_to_scipy(n, seed, rtol):
+    from spintorus.solver import MINRES_MAXITER, _minres
+
+    a, b, diag = _indefinite_system(n, seed)
+    x, istop, itn = _minres(lambda v: a @ v, b, rtol, lambda v: diag * v)
+    ref, ref_itn = _scipy_minres(a, b, rtol, diag, MINRES_MAXITER)
+    assert istop == 1
+    assert itn == ref_itn > 1
+    assert np.array_equal(x, ref)
+
+
+def test_minres_zero_right_hand_side_returns_zero():
+    from spintorus.solver import MINRES_MAXITER, _minres
+
+    a, _, diag = _indefinite_system(60, 4)
+    b = np.zeros(60)
+    x, istop, itn = _minres(lambda v: a @ v, b, 1e-8, lambda v: diag * v)
+    ref, ref_itn = _scipy_minres(a, b, 1e-8, diag, MINRES_MAXITER)
+    assert (istop, itn) == (0, ref_itn) == (0, 0)
+    assert np.array_equal(x, ref) and not x.any()
+
+
+def test_minres_iteration_limit_matches_scipy(monkeypatch):
+    from spintorus import solver
+
+    monkeypatch.setattr(solver, "MINRES_MAXITER", 7)
+    a, b, diag = _indefinite_system(200, 5)
+    x, istop, itn = solver._minres(lambda v: a @ v, b, 1e-12, lambda v: diag * v)
+    ref, ref_itn = _scipy_minres(a, b, 1e-12, diag, 7)
+    assert (istop, itn) == (6, 7) and ref_itn == 7
+    assert np.array_equal(x, ref)
+
+
+def test_minres_rejects_an_indefinite_preconditioner():
+    from spintorus.solver import MINRES_MAXITER, _minres
+
+    a, b, diag = _indefinite_system(80, 6)
+    diag = -diag
+    with pytest.raises(ValueError, match="indefinite preconditioner"):
+        _minres(lambda v: a @ v, b, 1e-8, lambda v: diag * v)
+    with pytest.raises(ValueError, match="indefinite preconditioner"):
+        _scipy_minres(a, b, 1e-8, diag, MINRES_MAXITER)
+
+
+def test_newton_failure_names_the_last_minres_outcome(rng, monkeypatch):
+    from spintorus import solver
+
+    monkeypatch.setattr(solver, "MINRES_MAXITER", 2)
+    init = first_positive_eigenspinor(SQ, NT, 16)
+    init = init + 0.3 * random_band_limited(SQ, NT, 16, rng)
+    with pytest.raises(ContinuationError) as err:
+        solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=2))
+    assert str(err.value).endswith(
+        "; last MINRES solve: exit 6 (iteration limit) after 2 iterations"
+    )
+
+
+NO_SCIPY_SOLVE_SCRIPT = """
+import sys
+
+import numpy as np
+
+import spintorus
+from spintorus.fields import first_positive_eigenspinor, random_band_limited
+from spintorus.lattice import SpinStructure, make_lattice
+from spintorus.solver import solve_at_exponent
+
+lat = make_lattice((1, 0), (0, 1))
+spin = SpinStructure(1, -1)
+init = first_positive_eigenspinor(lat, spin, 16)
+init = init + 0.1 * random_band_limited(lat, spin, 16, np.random.default_rng(1))
+sol = solve_at_exponent(4.0, init)
+assert sol.meta["newton_iters"] >= 1, sol.meta
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
+"""
+
+
+def test_newton_solve_does_not_import_scipy():
+    # The pytest process has scipy loaded already; only a fresh interpreter can tell.
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SOLVE_SCRIPT], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
