@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Print one line `name sha256` per library output on fixed seeded inputs.
+
+usage: python scripts/library_outputs.py [SRC]
+
+SRC (default: the src/ next to this script) goes first on sys.path.  The
+inputs are fixed, so two trees compute the same bits exactly when one version
+of this script prints the same lines on both:
+
+    python scripts/library_outputs.py base/src > base.txt
+    python scripts/library_outputs.py src > head.txt
+    diff base.txt head.txt
+
+It uses only public names of the package and finishes in a few seconds.  A
+solve that fails is hashed by its error message.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).parents[1] / "src"))
+
+from spintorus import (  # noqa: E402
+    SpinStructure, build_alpha, closed_form_spectrum, constant_solution, count_zeros,
+    export_mesh, integrate_immersion, make_lattice, maximize_Fq, mu_curve,
+    normalize_euler_lagrange, solve_at_exponent, solve_critical, verify_immersion,
+)
+from spintorus.fields import first_positive_eigenspinor, random_band_limited  # noqa: E402
+
+
+def emit(name, *parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+    print(name, digest.hexdigest())
+
+
+def solution(sol):
+    return json.dumps(sol.to_dict(), sort_keys=True)
+
+
+def attempt(fn, *args, **kwargs):
+    """fn's Solution as its file text, or the message of the error it raised."""
+    try:
+        return solution(fn(*args, **kwargs))
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SPINS = SpinStructure.all_four()
+# Eight skew tori (x, y), the first three with y < 1.2, each on two spin structures.
+TORI = [(0.1, 0.8), (-0.3, 1.0), (0.45, 1.15), (0.0, 1.3), (0.2, 1.6), (-0.4, 1.9), (0.5, 2.4),
+        (-0.15, 3.0)]
+
+for i, (x, y) in enumerate(TORI):
+    lat = make_lattice((1, 0), (x, y))
+    emit(f"closed_form_spectrum/{i}", *(closed_form_spectrum(lat, s, 12) for s in SPINS))
+    emit(f"constant_solution/{i}", *(solution(constant_solution(lat, s, 8 + 4 * i)) for s in SPINS))
+    emit(f"random_band_limited/{i}",
+         random_band_limited(lat, SPINS[i % 4], 4 + 2 * i, np.random.default_rng(i)).u.tobytes())
+    lat1, spin = lat.unit_area(), SPINS[i % 4]
+    rng = np.random.default_rng([9, i])
+    init = first_positive_eigenspinor(lat1, spin, 32) + 0.1 * random_band_limited(lat1, spin, 32, rng)
+    lam1 = constant_solution(lat1, spin, 32).lam
+    emit(f"solve_at_exponent/normalized/{i}", attempt(solve_at_exponent, 3.0 + i / 8, init))
+    emit(f"solve_at_exponent/fixed/{i}",
+         attempt(solve_at_exponent, 4.0, init, lambda_mode="fixed", lam_fixed=lam1))
+
+sq, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
+init = first_positive_eigenspinor(sq, spin, 16)
+init = init + 0.02 * random_band_limited(sq, spin, 16, np.random.default_rng(20240815))
+emit("solve_at_exponent/failing", attempt(solve_at_exponent, 4.0, init))
+
+lat = make_lattice((1, 0), (0.3, 1.4))
+emit("solve_critical", attempt(solve_critical, lat, spin, n_grid=16, seed=4, perturbation=0.2))
+
+lat1 = lat.unit_area()
+init = first_positive_eigenspinor(lat1, spin, 16) + 0.3 * random_band_limited(
+    lat1, spin, 16, np.random.default_rng(5))
+result = maximize_Fq(lat1, spin, 1.6, init)
+emit("maximize_Fq", result.phi.u.tobytes(), result.mu, result.iterations, result.grad_norm,
+     result.history)
+emit("normalize_euler_lagrange", solution(normalize_euler_lagrange(result.phi, 1.6, result.mu)))
+emit("mu_curve", mu_curve(lat, spin, (1.5, 1.7, 2.0), n_grid=12, seed=2))
+
+with tempfile.TemporaryDirectory() as tmp:
+    for name, sol in [("constant", constant_solution(lat, SpinStructure(-1, 1), 24)),
+                      ("solved", solve_critical(lat, spin, n_grid=16, seed=4, perturbation=0.2))]:
+        alpha = build_alpha(sol.phi)
+        emit(f"build_alpha/{name}", alpha.a.tobytes())
+        imm = integrate_immersion(alpha, H=sol.lam)
+        emit(f"integrate_immersion/{name}", imm.F.tobytes(), imm.V1.tobytes(), imm.V2.tobytes(),
+             imm.summary())
+        emit(f"verify_immersion/{name}", verify_immersion(imm, sol.phi).as_dict(), imm.diagnostics)
+        emit(f"count_zeros/{name}", count_zeros(sol.phi, sol.lam))
+        obj, sidecar = export_mesh(imm, (2, 1), Path(tmp) / f"{name}.obj", lam=sol.lam)
+        emit(f"export_mesh/{name}", Path(obj).read_bytes(), Path(sidecar).read_bytes())

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -52,6 +53,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
+#: Eigenvalues of smallest |value| listed in a report's closed-form spectrum.
+SPECTRUM_ENTRIES = 10
 
 
 def _parse_copies(text: str) -> tuple[int, int]:
@@ -97,8 +100,8 @@ def _config_echo(cfg: RunConfig) -> dict:
     return data
 
 
-def _spectrum_summary(lat, spin, entries: int = 10) -> dict:
-    closed = closed_form_spectrum(lat, spin, entries)
+def _spectrum_summary(lat, spin) -> dict:
+    closed = closed_form_spectrum(lat, spin, SPECTRUM_ENTRIES)
     lam1 = first_positive_eigenvalue(lat, spin)
     return {
         "closed_form": [[v, m] for v, m in closed],
@@ -151,13 +154,7 @@ def cmd_mu_curve(cfg: RunConfig, args) -> int:
     points = mu_curve(lat, spin, cfg.q_values, n_grid=cfg.n_grid, opts=opts, seed=cfg.seed)
     report = new_report("mu-curve", _config_echo(cfg))
     report["mu_curve"] = [
-        {
-            "q": pt.q,
-            "mu": pt.mu,
-            "grad_norm": pt.grad_norm,
-            "converged": pt.converged,
-            **({"error": pt.error} if pt.error else {}),
-        }
+        {key: value for key, value in asdict(pt).items() if value is not None}
         for pt in points
     ]
     lam1 = first_positive_eigenvalue(lat.unit_area(), spin)
@@ -221,7 +218,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 def _equation_checks(cfg: RunConfig, sol: Solution) -> CheckReport:
     """Residual, ||phi||_p and lambda consistency, recomputed from phi, lambda, p."""
-    tol_solve = cfg.tol_solve if cfg.tol_solve is not None else 1e-9 * sol.phi.n_grid
+    tol_solve = cfg.schedule().solve_tolerance(sol.phi.n_grid)
     residual = l2_norm(residual_field(sol.phi, sol.lam, sol.p))
     norm_gap = abs(lp_norm(sol.phi, sol.p) - 1.0)
     lam_gap = abs(lambda_consistency(sol) - sol.lam)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,7 @@ class SpinorField:
     def _set(self, lat, spin, u):
         if u.ndim != 3 or u.shape[0] != 2 or u.shape[1] != u.shape[2]:
             raise ValueError("components must be square arrays of equal shape")
-        n = u.shape[1]
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 4, got {n}")
+        _check_grid_size(u.shape[1])
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "spin", spin)
         object.__setattr__(self, "u", u)
@@ -101,6 +100,13 @@ class SpinorField:
     def pointwise_norm(self) -> np.ndarray:
         """|phi| on the grid (twist-independent)."""
         return pointwise_norm(self.u)
+
+
+def _check_grid_size(n) -> int:
+    """n if it is an even int >= 4, else ValueError."""
+    if not isinstance(n, int) or n < 4 or n % 2 != 0:
+        raise ValueError(f"grid size must be even and >= 4, got {n!r}")
+    return n
 
 
 def pointwise_norm(u: np.ndarray) -> np.ndarray:
@@ -217,18 +223,12 @@ def first_positive_eigenspinor(
 
 
 def random_band_limited(
-    lat: Lattice,
-    spin: SpinStructure,
-    n: int,
-    rng: np.random.Generator,
-    max_mode: int | None = None,
+    lat: Lattice, spin: SpinStructure, n: int, rng: np.random.Generator
 ) -> SpinorField:
-    """Gaussian random field supported on modes |m|, |k| <= max_mode."""
-    if max_mode is None:
-        max_mode = max(1, n // 4)
-    max_mode = min(max_mode, n // 2 - 1)
+    """Unit-L^2 Gaussian random field supported on modes |m|, |k| <= N // 4."""
+    band = n // 4
     coeffs = np.zeros((2, n, n), dtype=complex)
-    span = np.r_[0 : max_mode + 1, n - max_mode : n]
+    span = np.r_[0 : band + 1, n - band : n]
     block = rng.standard_normal((2, len(span), len(span))) + 1j * rng.standard_normal(
         (2, len(span), len(span))
     )
@@ -248,13 +248,29 @@ def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(buf).decode("ascii")
 
 
-def _decode(text: str, n: int, key: str) -> np.ndarray:
-    raw = base64.b64decode(text.encode("ascii"))
+def _decode(text: str, n: int) -> np.ndarray:
+    raw = base64.b64decode(text)
     if len(raw) != 16 * n * n:
-        raise ValueError(
-            f"{key}: payload holds {len(raw)} bytes, n_grid={n} needs {16 * n * n}"
-        )
-    return np.frombuffer(raw, dtype="<c16").reshape(n, n)
+        raise ValueError(f"payload holds {len(raw)} bytes, n_grid={n} needs {16 * n * n}")
+    comp = np.frombuffer(raw, dtype="<c16").reshape(n, n)
+    if not np.isfinite(comp).all():
+        raise ValueError("payload holds non-finite values")
+    return comp
+
+
+def parse_entry(data: dict, key: str, parse):
+    """parse(data.get(key)), any KeyError, TypeError or ValueError raised as one naming key."""
+    try:
+        return parse(data.get(key))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def real_number(value) -> float:
+    """value as a float; anything but a real number (a str too) is a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 def spinor_to_dict(phi: SpinorField) -> dict:
@@ -270,19 +286,15 @@ def spinor_to_dict(phi: SpinorField) -> dict:
 
 
 def spinor_from_dict(data: dict, fmt: str = SPINOR_FORMAT) -> SpinorField:
-    """Field of a container whose format tag is fmt; payloads must be finite."""
+    """Field of a container whose format tag is fmt; payloads must be finite.
+    A malformed entry raises a ValueError that names it."""
     if data.get("format") != fmt:
         raise ValueError(f"format: expected {fmt!r}, got {data.get('format')!r}")
-    lat = Lattice(
-        tuple(data["lattice"]["gamma1"]), tuple(data["lattice"]["gamma2"])
-    )
-    spin = SpinStructure(data["spin"]["eps1"], data["spin"]["eps2"])
-    n = int(data["n_grid"])
-    u = np.stack([_decode(data[key], n, key) for key in ("plus", "minus")])
-    for key, comp in zip(("plus", "minus"), u):
-        if not np.isfinite(comp).all():
-            raise ValueError(f"{key}: payload holds non-finite values")
-    return SpinorField.from_array(lat, spin, u)
+    lat = parse_entry(data, "lattice", lambda d: Lattice(tuple(d["gamma1"]), tuple(d["gamma2"])))
+    spin = parse_entry(data, "spin", lambda d: SpinStructure(d["eps1"], d["eps2"]))
+    n = parse_entry(data, "n_grid", _check_grid_size)
+    payloads = [parse_entry(data, key, lambda text: _decode(text, n)) for key in ("plus", "minus")]
+    return SpinorField.from_array(lat, spin, np.stack(payloads))
 
 
 def save_spinor(phi: SpinorField, path) -> None:

@@ -127,10 +127,7 @@ def _precondition(grad: SpinorField) -> SpinorField:
     on the kernel complement, so Re<G, P G> > 0 unless P G = 0.
     """
     mult = symbol_modulus(grad.lat, grad.spin, grad.n_grid) ** 2
-    inv = np.zeros_like(mult)
-    nz = mult > 0.0
-    inv[nz] = 1.0 / mult[nz]
-    return grad.with_u(spectral_apply(grad.u, inv))
+    return grad.with_u(spectral_apply(grad.u, pointwise_power(mult, -1.0)))
 
 
 @dataclass

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +32,9 @@ MAX_HALF_WIDTH = 512
 
 
 class InvalidLatticeError(ValueError):
-    """Generators that span no usable lattice: non-finite, not positively
-    oriented, or so skewed that no mode window up to MAX_HALF_WIDTH certifies
-    its shortest modes."""
+    """Generators that span no usable lattice: not pairs of finite real numbers,
+    not positively oriented, or so skewed that no mode window up to
+    MAX_HALF_WIDTH certifies its shortest modes."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,13 @@ class Lattice:
     gamma2: tuple[float, float]
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.gamma1 + self.gamma2)):
+        pairs = (self.gamma1, self.gamma2)
+        if not all(isinstance(g, tuple) and len(g) == 2 for g in pairs) or not all(
+            isinstance(c, numbers.Real) and math.isfinite(c) for c in self.gamma1 + self.gamma2
+        ):
             raise InvalidLatticeError(
-                f"generators must be finite, got {self.gamma1}, {self.gamma2}"
+                "generators must be pairs of finite real numbers, "
+                f"got {self.gamma1}, {self.gamma2}"
             )
         if not self.det() > 0.0:
             raise InvalidLatticeError(
@@ -163,11 +168,6 @@ class DualModeSet:
             return k + t2
         raise ValueError("generator index must be 1 or 2")
 
-    def window(self, half_width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Centered integer index grids (m, k), |m|, |k| <= half_width."""
-        r = np.arange(-half_width, half_width + 1)
-        return np.meshgrid(r, r, indexing="ij")
-
 
 def closed_form_spectrum(
     lat: Lattice, spin: SpinStructure, count: int
@@ -203,7 +203,8 @@ def _mode_windows(lat: Lattice, spin: SpinStructure):
     gen_norm = max(math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
     half_width = 4
     while half_width <= MAX_HALF_WIDTH:
-        mm, kk = modes.window(half_width)
+        r = np.arange(-half_width, half_width + 1)
+        mm, kk = np.meshgrid(r, r, indexing="ij")
         xi = modes.mode_vectors(mm, kk)
         yield mm, kk, np.hypot(xi[..., 0], xi[..., 1]), half_width / gen_norm
         half_width *= 2

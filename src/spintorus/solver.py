@@ -40,10 +40,13 @@ from .fields import (
     l2_inner,
     l2_norm,
     lp_norm,
+    parse_entry,
     pointwise_norm,
     pointwise_power,
     pure_mode_field,
+    quadrature_weight,
     random_band_limited,
+    real_number,
     spectral_apply,
     spinor_from_dict,
     spinor_to_dict,
@@ -103,22 +106,20 @@ class Solution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Solution":
-        """Solution of a container; rejects a wrong format tag, payload length,
-        non-finite plus, minus or lambda, and p outside [2, 4] (ValueError)."""
+        """Solution of a container; a wrong format tag, payload length, non-finite
+        plus, minus or lambda, p outside [2, 4] or any other malformed entry
+        raises a ValueError that names it.  trace and meta may be left out."""
         phi = spinor_from_dict(data, fmt=SOLUTION_FORMAT)
-        lam, p = float(data["lambda"]), float(data["p"])
+        parsers = {"lambda": real_number, "p": real_number, "residual": real_number,
+                   "norm_p": real_number, "trace": list, "meta": dict}
+        data = {"trace": [], "meta": {}, **data}
+        lam, p, residual, norm_p, trace, meta = (
+            parse_entry(data, key, parse) for key, parse in parsers.items()
+        )
         if not math.isfinite(lam):
             raise ValueError(f"lambda: must be finite, got {lam}")
         _check_exponent(p)
-        return cls(
-            phi=phi,
-            lam=lam,
-            p=p,
-            residual=float(data["residual"]),
-            norm_p=float(data["norm_p"]),
-            trace=list(data.get("trace", [])),
-            meta=dict(data.get("meta", {})),
-        )
+        return cls(phi, lam, p, residual, norm_p, trace, meta)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class ContinuationSchedule:
     """Exponents of the continuation and the Newton stopping rule of each stage."""
 
     p_values: tuple = (2.0, 2.5, 3.0, 3.5, 3.8, 3.95, 4.0)
-    tol_solve: float | None = None  # default 1e-9 * N
+    tol_solve: float | None = None  # default: see solve_tolerance
     tol_norm: float = 1e-10
     max_newton: int = 40
 
@@ -136,6 +137,10 @@ class ContinuationSchedule:
             raise ValueError("schedule must start at p=2 and end at p=4")
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise ValueError("schedule must be strictly increasing")
+
+    def solve_tolerance(self, n: int) -> float:
+        """Newton's residual tolerance on an N x N grid (tol_solve when set)."""
+        return self.tol_solve if self.tol_solve is not None else 1e-9 * n
 
 
 def _check_exponent(p: float) -> None:
@@ -286,7 +291,7 @@ def solve_at_exponent(
 
     lambda_mode 'normalized' enforces ||phi||_p = 1 with lambda unknown;
     'fixed' solves at lam_fixed with phi alone unknown.  Of the schedule only
-    the stopping rule is read: tol_solve (default 1e-9 * N), tol_norm, max_newton.
+    the stopping rule is read: solve_tolerance(N), tol_norm and max_newton.
     MINRES and the damping search are bounded by MINRES_MAXITER and DAMPING_MIN.
     """
     _check_exponent(p)
@@ -294,8 +299,8 @@ def solve_at_exponent(
         raise ValueError("lambda_mode must be 'normalized' or 'fixed'")
     phi0 = init.phi if isinstance(init, Solution) else init
     lat, spin, n = phi0.lat, phi0.spin, phi0.n_grid
-    tol_solve = schedule.tol_solve if schedule.tol_solve is not None else 1e-9 * n
-    kappa = lat.area / n**2
+    tol_solve = schedule.solve_tolerance(n)
+    kappa = quadrature_weight(phi0)
     bordered = lambda_mode == "normalized"
 
     if l2_norm(phi0) == 0.0:
@@ -324,12 +329,17 @@ def solve_at_exponent(
         gap = norm_gap(v) if bordered else 0.0
         return res, gap, math.hypot(res, gap), r
 
-    newton_iters = 0
     last_solve = "none"
     res, gap, total, r = merit(u, lam)
-    for newton_iters in range(1, schedule.max_newton + 1):
+    # The cap is tested first: a state reached on the last allowed step fails.
+    for newton_iters in range(schedule.max_newton + 1):
+        if newton_iters == schedule.max_newton:
+            raise ContinuationError(
+                f"Newton did not converge at p={p}: residual={res:.3e} after "
+                f"{schedule.max_newton} iterations; last MINRES solve: {last_solve}",
+                trace=[],
+            )
         if res < tol_solve and abs(gap) < schedule.tol_norm:
-            newton_iters -= 1
             break
         absphi = pointwise_norm(u)
         w2 = pointwise_power(absphi, p - 2.0)
@@ -384,12 +394,6 @@ def solve_at_exponent(
                 f"last MINRES solve: {last_solve}",
                 trace=[],
             )
-    else:
-        raise ContinuationError(
-            f"Newton did not converge at p={p}: residual={res:.3e} after "
-            f"{schedule.max_newton} iterations; last MINRES solve: {last_solve}",
-            trace=[],
-        )
 
     phi = phi0.with_u(u)
     if spin.is_trivial and abs(p - 2.0) < 1e-12:
@@ -453,16 +457,14 @@ def solve_critical(
     return sol
 
 
-def constant_solution(
-    lat: Lattice, spin: SpinStructure, n_grid: int, mode: tuple[int, int] | None = None
-) -> Solution:
-    """Exact constant-length critical solution built on one eigenmode.
+def constant_solution(lat: Lattice, spin: SpinStructure, n_grid: int) -> Solution:
+    """Exact constant-length critical solution built on a shortest eigenmode.
 
     Any single-mode eigenspinor has constant |phi|; scaling it to
     ||phi||_4 = 1 solves D phi = lambda |phi|^2 phi with
-    lambda = lambda_1^+ * sqrt(area) (for the default shortest mode).
+    lambda = lambda_1^+ * sqrt(area).
     """
-    m, k = mode if mode is not None else first_eigenmode(lat, spin)
+    m, k = first_eigenmode(lat, spin)
     lam1, vp, vm = eigenvector_at_mode(lat, spin, m, k)
     area = lat.area
     c = area ** (-0.25)

@@ -38,14 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SpinorField, mode_index_grid, squared_twist_grid
-from .lattice import Lattice, SpinStructure
-from .report import CheckItem, CheckReport
+from .lattice import Lattice
+from .report import CheckReport
 
 
 #: verify_immersion gates on the relative deviation of |dF| from |phi|^2 and
 #: the relative period additivity error.
 CONFORMALITY_TOL = 1e-8
 PERIOD_TOL = 1e-10
+#: The cmc check skips vertices within this many grid cells of a branch point.
+BRANCH_MARGIN = 3
 
 
 class ClosednessError(RuntimeError):
@@ -62,7 +64,6 @@ class OneFormField:
     stored as one complex (3, N, N) array `a` whose rows are a1, a2, a3."""
 
     lat: Lattice
-    spin: SpinStructure
     a: np.ndarray
 
     @property
@@ -84,7 +85,6 @@ class Immersion:
     """Grid immersion values of one fundamental domain plus its periods."""
 
     lat: Lattice
-    spin: SpinStructure
     F: np.ndarray  # (N, N, 3), F at x = (j/N) gamma1 + (l/N) gamma2, F(0) = 0
     V1: np.ndarray  # period over gamma1
     V2: np.ndarray  # period over gamma2
@@ -129,7 +129,7 @@ def build_alpha(phi: SpinorField) -> OneFormField:
     p2 = phi.plus**2 * tw
     m2 = np.conj(phi.minus) ** 2 * np.conj(tw)
     a = np.stack([p2 + m2, 1j * (p2 - m2), 2j * phi.plus * np.conj(phi.minus)])
-    return OneFormField(phi.lat, phi.spin, a)
+    return OneFormField(phi.lat, a)
 
 
 def _lattice_spectra(alpha: OneFormField):
@@ -196,7 +196,6 @@ def integrate_immersion(
     mu = alpha.conformal_factor()
     imm = Immersion(
         lat=alpha.lat,
-        spin=alpha.spin,
         F=F,
         V1=lin[:, 0].copy(),
         V2=lin[:, 1].copy(),
@@ -372,13 +371,13 @@ def discrete_mean_curvature(imm: Immersion):
     return h_signed, normal
 
 
-def _branch_mask(imm: Immersion, margin: int = 3) -> np.ndarray:
-    """True on vertices within `margin` cells of a branch point."""
+def _branch_mask(imm: Immersion) -> np.ndarray:
+    """True on vertices within BRANCH_MARGIN cells of a branch point."""
     n = imm.n_grid
     mask = np.zeros((n, n), dtype=bool)
     for j, l, _ in imm.branch_points:
-        for dj in range(-margin, margin + 1):
-            for dl in range(-margin, margin + 1):
+        for dj in range(-BRANCH_MARGIN, BRANCH_MARGIN + 1):
+            for dl in range(-BRANCH_MARGIN, BRANCH_MARGIN + 1):
                 mask[(j + dj) % n, (l + dl) % n] = True
     return mask
 
@@ -417,7 +416,7 @@ def verify_immersion(
         raise ValueError("grid mismatch between immersion and spinor field")
     if H is None:
         H = imm.H
-    items = []
+    checks = CheckReport()
 
     jac = _spectral_jacobian(imm)
     target = phi.pointwise_norm() ** 2
@@ -431,14 +430,10 @@ def verify_immersion(
         float(np.max(np.abs(ortho))) / max(top, 1e-300),
     )
     conf = dev / max(top, 1e-300)
-    items.append(
-        CheckItem("conformality |dF|=|phi|^2", conf, CONFORMALITY_TOL, conf < CONFORMALITY_TOL)
-    )
+    checks.add("conformality |dF|=|phi|^2", conf, CONFORMALITY_TOL, conf < CONFORMALITY_TOL)
 
     closed = imm.diagnostics["closedness"]
-    items.append(
-        CheckItem("closedness residual", closed, imm.tol_closed, closed <= imm.tol_closed)
-    )
+    checks.add("closedness residual", closed, imm.tol_closed, closed <= imm.tol_closed)
 
     h_signed, _ = discrete_mean_curvature(imm)
     good = ~_branch_mask(imm)
@@ -451,30 +446,24 @@ def verify_immersion(
         scale = max(abs(H), 1e-300)
         rel = np.abs(h_signed[good] - H) / scale if H != 0 else np.abs(h_signed[good])
         cmc_err = float(np.median(rel))
-    items.append(
-        CheckItem("cmc median relative error", cmc_err, cmc_tol, cmc_err < cmc_tol, note)
-    )
+    checks.add("cmc median relative error", cmc_err, cmc_tol, cmc_err < cmc_tol, note)
 
     orders_even = all(order % 2 == 0 and order > 0 for _, _, order in imm.branch_points)
-    items.append(
-        CheckItem(
-            "branch orders even",
-            float(len(imm.branch_points)),
-            math.inf,
-            orders_even or not imm.branch_points,
-            f"orders={[o for _, _, o in imm.branch_points]}",
-        )
+    checks.add(
+        "branch orders even",
+        float(len(imm.branch_points)),
+        math.inf,
+        orders_even or not imm.branch_points,
+        f"orders={[o for _, _, o in imm.branch_points]}",
     )
 
     diag = _diagonal_period(imm, jac)
     add_err = float(np.linalg.norm(diag - (imm.V1 + imm.V2)))
     scale = max(np.linalg.norm(imm.V1) + np.linalg.norm(imm.V2), 1.0)
-    items.append(
-        CheckItem("period additivity", add_err / scale, PERIOD_TOL, add_err / scale < PERIOD_TOL)
-    )
+    checks.add("period additivity", add_err / scale, PERIOD_TOL, add_err / scale < PERIOD_TOL)
 
     imm.diagnostics.update({"conformality": conf, "cmc_median_err": cmc_err})
-    return CheckReport(items)
+    return checks
 
 
 def _diagonal_period(imm: Immersion, jac: np.ndarray) -> np.ndarray:

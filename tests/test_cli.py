@@ -446,3 +446,105 @@ def test_very_skewed_torus_exits_2_naming_lattice(tmp_path):
     )
     assert result.returncode == 2, result.stderr[-2000:]
     assert "configuration error: lattice: generators" in result.stderr
+
+
+HEADER_DEFECTS = {
+    "lattice-string": ("lattice", lambda data: data["lattice"].update(gamma1=["a", 0])),
+    "lattice-null": ("lattice", lambda data: data["lattice"].update(gamma1=None)),
+    "lattice-3-entries": ("lattice", lambda data: data["lattice"].update(gamma1=[1, 0, 0])),
+    "spin": ("spin", lambda data: data["spin"].update(eps1=3)),
+    "n_grid": ("n_grid", lambda data: data.update(n_grid="abc")),
+    "residual": ("residual", lambda data: data.update(residual="0.0")),
+    "norm_p": ("norm_p", lambda data: data.update(norm_p="x")),
+    "trace": ("trace", lambda data: data.update(trace=5)),
+    "meta": ("meta", lambda data: data.update(meta=5)),
+    "plus-int": ("plus", lambda data: data.update(plus=5)),
+}
+
+
+def _defective_solution_file(tmp_path, defect):
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    data = constant_solution(make_lattice((1, 0), (0, 2)), SpinStructure(1, -1), 8).to_dict()
+    HEADER_DEFECTS[defect][1](data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", ["check", "surface"])
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+def test_malformed_header_exits_2_naming_field(tmp_path, capsys, command, defect):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    path = _defective_solution_file(tmp_path, defect)
+    code = main([command, "--solution", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"s.json: {HEADER_DEFECTS[defect][0]}:" in capsys.readouterr().err
+
+
+def test_resume_of_three_entry_generator_exits_2_naming_lattice(tmp_path, capsys):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    path = _defective_solution_file(tmp_path, "lattice-3-entries")
+    assert main(["solve", "--resume", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "s.json: lattice: generators must be pairs" in capsys.readouterr().err
+
+
+def test_solve_that_cannot_converge_exits_3_without_a_report(tmp_path, capsys):
+    from spintorus.cli import EXIT_SOLVER, main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_solve": 1e-30}))
+    out = tmp_path / "out"
+    assert main(["solve", "--grid", "8", "--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "solver failure: continuation aborted at p=2.0: Newton did not converge"
+    )
+    assert not (out / "solve_report.json").exists()
+
+
+def test_mu_curve_that_cannot_converge_exits_3_with_the_error_in_its_row(tmp_path):
+    from spintorus.cli import EXIT_SOLVER, main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_values": [2.0], "n_grid": 8, "tol_grad": 1e-30}))
+    out = tmp_path / "out"
+    assert main(["mu-curve", "--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    (row,) = json.loads((out / "mu_curve_report.json").read_text())["mu_curve"]
+    assert row["converged"] is False
+    assert row["error"].startswith("no convergence")
+
+
+def test_surface_of_a_field_that_is_not_closed_exits_4(tmp_path, capsys):
+    from spintorus.cli import EXIT_CHECK, main
+    from spintorus.fields import random_band_limited
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    lat, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
+    sol = constant_solution(lat, spin, 16)
+    sol.phi = sol.phi + 1e-2 * random_band_limited(lat, spin, 16, np.random.default_rng(7))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sol.to_dict()))
+    assert main(["surface", "--solution", str(path), "--out", str(tmp_path / "out")]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err.startswith("check failure: closedness residual ")
+    assert "exceeds tol_closed=1.000e-05" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("surface", "--copies", "3y1"), ("spectrum", "--eps", "+1")],
+    ids=["copies", "eps"],
+)
+def test_malformed_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    argv = [command, flag, value, "--out", str(tmp_path / "out")]
+    if command == "surface":
+        argv += ["--solution", str(tmp_path / "missing.json")]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"configuration error: {flag[2:]}:" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from spintorus.lattice import (
     DualModeSet,
     InvalidLatticeError,
+    Lattice,
     SpinStructure,
     closed_form_spectrum,
     first_eigenmode,
@@ -147,3 +148,12 @@ def test_non_finite_generators_rejected(bad):
         make_lattice((1, 0), (bad, 2))
     with pytest.raises(InvalidLatticeError, match="finite"):
         make_lattice((bad, 0), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "gamma1", [(1.0, 0.0, 0.0), (1.0,), ("a", 0.0), (None, 0.0), [1.0, 0.0]],
+    ids=["three-entries", "one-entry", "string", "none", "list"],
+)
+def test_generators_must_be_pairs_of_real_numbers(gamma1):
+    with pytest.raises(InvalidLatticeError, match="pairs of finite real numbers"):
+        Lattice(gamma1, (0.0, 1.0))
