@@ -26,12 +26,7 @@ from .functional import (
     mu_curve,
 )
 from .lattice import InvalidLatticeError, closed_form_spectrum, first_positive_eigenvalue
-from .report import (
-    CheckReport,
-    dump_report,
-    new_report,
-    threshold_verdict,
-)
+from .report import SCHEMA_VERSION, CheckReport, dump_report, threshold_verdict
 from .solver import (
     ContinuationError,
     Solution,
@@ -57,33 +52,17 @@ EXIT_CHECK = 4
 SPECTRUM_ENTRIES = 10
 
 
-def _parse_copies(text: str) -> tuple[int, int]:
-    try:
-        k1, k2 = text.lower().split("x")
-        return (int(k1), int(k2))
-    except ValueError as exc:
-        raise ConfigError(f"copies: expected K1xK2, got {text!r}") from exc
-
-
-#: (command-line flag, RunConfig key) pairs; a given flag, even 0, overrides the
-#: config file.  --eps sets both eps1 and eps2.
-_FLAG_KEYS = (("v1", "v1"), ("v2", "v2"), ("eps", "eps1"), ("grid", "n_grid"),
-              ("seed", "seed"), ("out", "out_dir"), ("copies", "copies"))
-
-
 def _resolve_config(args) -> RunConfig:
+    """The config file's values with each given flag, even 0, laid over its key;
+    --eps sets both eps1 and eps2."""
     data = (load_config(args.config) if args.config else RunConfig()).as_dict()
-    for arg, key in _FLAG_KEYS:
-        value = getattr(args, arg, None)
-        if value is None:
-            continue
-        if arg == "eps":
-            toks = value.replace(",", " ").split()
-            if len(toks) != 2:
-                raise ConfigError(f"eps: expected two signs, got {value!r}")
-            data["eps1"], data["eps2"] = toks
-        else:
-            data[key] = _parse_copies(value) if arg == "copies" else value
+    data.update((key, value) for key, value in vars(args).items()
+                if key in data and value is not None)
+    if args.eps is not None:
+        toks = args.eps.replace(",", " ").split()
+        if len(toks) != 2:
+            raise ConfigError(f"eps: expected two signs, got {args.eps!r}")
+        data["eps1"], data["eps2"] = toks
     return config_from_dict(data)
 
 
@@ -91,13 +70,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    """Config as echoed into reports; paths are dropped for byte-determinism."""
-    data = cfg.as_dict()
-    data.pop("out_dir", None)
-    return data
 
 
 def _spectrum_summary(lat, spin) -> dict:
@@ -111,10 +83,15 @@ def _spectrum_summary(lat, spin) -> dict:
     }
 
 
-def _write_report(cfg: RunConfig, report: dict, lines, passed: bool = True,
+def _write_report(cfg: RunConfig, command: str, body: dict, lines, passed: bool = True,
                   fail_code: int = EXIT_CHECK) -> int:
-    """Write <command>_report.json, print lines and its path; the exit code."""
-    path = _out_dir(cfg) / f"{report['command'].replace('-', '_')}_report.json"
+    """Write <command>_report.json: body under schema_version, command and the
+    config (without out_dir, for byte-determinism). Print lines and the path;
+    return the exit code."""
+    config = cfg.as_dict()
+    del config["out_dir"]
+    report = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **body}
+    path = _out_dir(cfg) / f"{command.replace('-', '_')}_report.json"
     dump_report(report, path)
     for line in lines:
         print(line)
@@ -129,18 +106,15 @@ def _solution_threshold(sol: Solution) -> dict:
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     lat, spin = cfg.lattice(), cfg.spin()
-    report = new_report("spectrum", _config_echo(cfg))
-    report["spectrum"] = _spectrum_summary(lat, spin)
+    spec = _spectrum_summary(lat, spin)
     n_dense = min(cfg.n_grid, 12)
     pairs = dirac_spectrum_numeric(lat, spin, n_dense, k=10)
-    report["numeric"] = {
-        "n_grid": n_dense,
-        "values": [p.value for p in pairs],
-        "cap": DENSE_GRID_CAP,
+    report = {
+        "spectrum": spec,
+        "numeric": {"n_grid": n_dense, "values": [p.value for p in pairs], "cap": DENSE_GRID_CAP},
+        "threshold": threshold_verdict(spec["lambda1_sqrt_area"]),
     }
-    spec = report["spectrum"]
-    report["threshold"] = threshold_verdict(spec["lambda1_sqrt_area"])
-    return _write_report(cfg, report, [
+    return _write_report(cfg, "spectrum", report, [
         f"lambda1+ = {spec['lambda1_plus']:.12g}, "
         f"lambda1+ * sqrt(area) = {spec['lambda1_sqrt_area']:.12g}",
         f"kernel dim (complex) = {spec['kernel_dim_complex']}",
@@ -152,21 +126,20 @@ def cmd_mu_curve(cfg: RunConfig, args) -> int:
     lat, spin = cfg.lattice(), cfg.spin()
     opts = MaximizeOptions(tol_grad=cfg.tol_grad)
     points = mu_curve(lat, spin, cfg.q_values, n_grid=cfg.n_grid, opts=opts, seed=cfg.seed)
-    report = new_report("mu-curve", _config_echo(cfg))
-    report["mu_curve"] = [
-        {key: value for key, value in asdict(pt).items() if value is not None}
-        for pt in points
-    ]
     lam1 = first_positive_eigenvalue(lat.unit_area(), spin)
-    report["duality_q2"] = {
-        "mu_2_expected": 1.0 / lam1,
-        "note": "mu_2 = 1/lambda1+ on the area-1 torus",
+    report = {
+        "mu_curve": [
+            {key: value for key, value in asdict(pt).items() if value is not None}
+            for pt in points
+        ],
+        "duality_q2": {
+            "mu_2_expected": 1.0 / lam1,
+            "note": "mu_2 = 1/lambda1+ on the area-1 torus",
+        },
+        "threshold": threshold_verdict(first_positive_eigenvalue(lat, spin) * math.sqrt(lat.area)),
     }
-    report["threshold"] = threshold_verdict(
-        first_positive_eigenvalue(lat, spin) * math.sqrt(lat.area)
-    )
     return _write_report(
-        cfg, report,
+        cfg, "mu-curve", report,
         [f"q = {pt.q:.4f}  mu_q = {pt.mu:.10g}  (|grad| = {pt.grad_norm:.2e})" for pt in points],
         passed=all(pt.converged for pt in points), fail_code=EXIT_SOLVER,
     )
@@ -200,16 +173,16 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     else:
         lat, spin = cfg.lattice(), cfg.spin()
         sol = solve_critical(lat, spin, schedule=cfg.schedule(), n_grid=cfg.n_grid)
-    report = new_report("solve", _config_echo(cfg))
-    report["spectrum"] = _spectrum_summary(lat, spin)
-    report["solution"] = _solution_report_block(sol)
-    report["solution"]["file"] = "solution.json"
-    report["threshold"] = _solution_threshold(sol)
     checks = _equation_checks(cfg, sol)
-    report["checks"] = checks.as_dict()
+    report = {
+        "spectrum": _spectrum_summary(lat, spin),
+        "solution": {**_solution_report_block(sol), "file": "solution.json"},
+        "threshold": _solution_threshold(sol),
+        "checks": checks.as_dict(),
+    }
     with open(_out_dir(cfg) / "solution.json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_dict(), fh, sort_keys=True, indent=1)
-    return _write_report(cfg, report, [
+    return _write_report(cfg, "solve", report, [
         f"lambda = {sol.lam:.12g}  residual = {sol.residual:.3e}",
         report["threshold"]["verdict"],
         *checks.summary_lines(),
@@ -252,16 +225,13 @@ def cmd_surface(cfg: RunConfig, args) -> int:
     if sol.max_abs() == 0.0:
         raise ConfigError("solution file holds the zero spinor")
     imm, checks = _verified_immersion(cfg, sol)
-    report = new_report("surface", _config_echo(cfg))
-    report["threshold"] = _solution_threshold(sol)
-    report.update(imm.summary())
-    report["checks"] = checks.as_dict()
+    report = {"threshold": _solution_threshold(sol), **imm.summary(), "checks": checks.as_dict()}
     if not args.verify_only:
         obj_path, sidecar = export_mesh(
             imm, cfg.copies, _out_dir(cfg) / "surface.obj", lam=sol.lam
         )
         report["files"] = [Path(obj_path).name, Path(sidecar).name]
-    return _write_report(cfg, report, checks.summary_lines(), passed=checks.passed)
+    return _write_report(cfg, "surface", report, checks.summary_lines(), passed=checks.passed)
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
@@ -281,12 +251,10 @@ def cmd_check(cfg: RunConfig, args) -> int:
         checks.add("closedness residual", exc.residual, cfg.tol_closed, False)
     else:  # closedness first, then the remaining checks in verification order
         checks.items.extend(sorted(sub.items, key=lambda it: it.name != "closedness residual"))
-    report = new_report("check", _config_echo(cfg))
-    report["threshold"] = _solution_threshold(sol)
-    report["checks"] = checks.as_dict()
+    threshold = _solution_threshold(sol)
     return _write_report(
-        cfg, report, [*checks.summary_lines(), report["threshold"]["verdict"]],
-        passed=checks.passed,
+        cfg, "check", {"threshold": threshold, "checks": checks.as_dict()},
+        [*checks.summary_lines(), threshold["verdict"]], passed=checks.passed,
     )
 
 
@@ -304,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="config file (key-value sections or JSON)")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--seed", type=int, help="random seed echoed in reports")
-        p.add_argument("--grid", type=int, help="grid size N (even)")
+        p.add_argument("--grid", dest="n_grid", type=int, help="grid size N (even)")
         p.add_argument("--v1", help="lattice generator, e.g. '1 0'")
         p.add_argument("--v2", help="lattice generator, e.g. '0 2'")
         p.add_argument("--eps", help="holonomy signs, e.g. '+1 -1'")
@@ -327,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf = sub.add_parser("surface", help="integrate and export the immersion")
     common(p_surf)
     p_surf.add_argument("--solution", required=True, help="solution JSON file")
-    p_surf.add_argument("--copies", help="fundamental domain tiling K1xK2")
+    p_surf.add_argument("--copies", type=lambda text: text.lower().split("x"),
+                        help="fundamental domain tiling K1xK2")
     p_surf.add_argument(
         "--verify-only", action="store_true", help="run checks, write no mesh"
     )

@@ -1,4 +1,8 @@
-"""Run configuration: flat key-value text with sections, or JSON."""
+"""Run configuration: flat key-value text with sections, or JSON.
+
+Values are converted and their keys named here; the lattice, spin structure,
+schedule and mu_curve exponents are checked by the code that uses them.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .functional import check_mu_exponent
 from .lattice import Lattice, SpinStructure, make_lattice
 from .solver import ContinuationSchedule
 
@@ -22,11 +27,11 @@ class RunConfig:
     eps1: int = 1
     eps2: int = -1
     n_grid: int = 32
-    p_values: tuple = (2.0, 2.5, 3.0, 3.5, 3.8, 3.95, 4.0)
+    p_values: tuple = ContinuationSchedule.p_values
     q_values: tuple = (1.4, 1.5, 1.6, 1.8, 2.0)
     tol_grad: float | None = None
     tol_solve: float | None = None
-    tol_norm: float = 1e-10
+    tol_norm: float = ContinuationSchedule.tol_norm
     tol_closed: float = 1e-5
     tol_cmc: float = 0.01
     zero_tol: float = 1e-6
@@ -35,34 +40,20 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> "RunConfig":
-        try:
-            make_lattice(self.v1, self.v2)
-        except ValueError as exc:
-            raise ConfigError(f"lattice: {exc}") from exc
-        if self.eps1 not in (-1, 1):
-            raise ConfigError(f"eps1: must be +1 or -1, got {self.eps1}")
-        if self.eps2 not in (-1, 1):
-            raise ConfigError(f"eps2: must be +1 or -1, got {self.eps2}")
+        _named("lattice", self.lattice)
+        _named("", self.spin)  # SpinStructure names eps1 or eps2 itself
         n = self.n_grid
         if n % 2 != 0 or not 4 <= n <= 512:
             raise ConfigError(f"n_grid: must be even and in [4, 512], got {n}")
-        for name in ("tol_norm", "tol_closed", "tol_cmc", "zero_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        for name in ("tol_grad", "tol_solve"):
+        for name in _TOLERANCES:
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise ConfigError(f"{name}: must be positive")
         k1, k2 = self.copies
         if k1 < 1 or k2 < 1:
             raise ConfigError(f"copies: tiling counts must be >= 1, got {self.copies}")
-        try:
-            ContinuationSchedule(p_values=tuple(self.p_values))
-        except ValueError as exc:
-            raise ConfigError(f"p_values: {exc}") from exc
-        for q in self.q_values:
-            if not 4.0 / 3.0 < q <= 2.0:
-                raise ConfigError(f"q_values: q={q} outside (4/3, 2]")
+        _named("p_values", self.schedule)
+        _named("q_values", lambda: [check_mu_exponent(q) for q in self.q_values])
         return self
 
     def lattice(self) -> Lattice:
@@ -82,9 +73,27 @@ class RunConfig:
         return asdict(self)
 
 
-_PAIRS = {"v1": float, "v2": float, "copies": int}
+def _named(key: str, build) -> None:
+    """Call build(); a ValueError it raises becomes a ConfigError naming key."""
+    try:
+        build()
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
+
+
+def _whole(value) -> int:
+    """int(value) where that changes nothing: 8, "8" and 8.0 pass, 8.7 and true do not."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+_PAIRS = {"v1": float, "v2": float, "copies": _whole}
 _SEQUENCES = ("p_values", "q_values")
 _INTS = ("eps1", "eps2", "n_grid", "seed")
+#: Tolerances that may be null: None means the N-scaled default.
+_NULLABLE = ("tol_grad", "tol_solve")
+_TOLERANCES = ("tol_norm", "tol_closed", "tol_cmc", "zero_tol") + _NULLABLE
 
 
 def _entries(value) -> list:
@@ -101,10 +110,12 @@ def _convert(key: str, value):
     if key in _SEQUENCES:
         return tuple(float(v) for v in _entries(value))
     if key in _INTS:
-        return int(value)
+        return _whole(value)
     if key == "out_dir":
-        return str(value)
-    return None if value is None else float(value)
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {value!r}")
+        return value
+    return None if value is None and key in _NULLABLE else float(value)
 
 
 def load_config(path) -> RunConfig:
@@ -139,6 +150,6 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"{key}: unknown configuration field")
         try:
             setattr(cfg, key, _convert(key, value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     return cfg.validate()

@@ -240,6 +240,12 @@ class MuPoint:
     error: str | None = None
 
 
+def check_mu_exponent(q: float) -> None:
+    """The exponents mu_curve accepts: 4/3 < q <= 2 (to round-off at 2)."""
+    if not Q_CRITICAL < q <= 2.0 + 1e-12:
+        raise ValueError(f"q={q} outside (4/3, 2]")
+
+
 def mu_curve(
     lat: Lattice,
     spin: SpinStructure,
@@ -256,8 +262,7 @@ def mu_curve(
     if not qs:
         return []
     for q in qs:
-        if q <= Q_CRITICAL or q > 2.0 + 1e-12:
-            raise ValueError(f"q={q} outside ({Q_CRITICAL:.6f}, 2]")
+        check_mu_exponent(q)
     lat1 = lat.unit_area()
     rng = np.random.default_rng(seed)
     init = first_positive_eigenspinor(lat1, spin, n_grid)

@@ -95,8 +95,9 @@ class SpinStructure:
     eps2: int
 
     def __post_init__(self):
-        if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
-            raise ValueError("holonomy signs must be +1 or -1")
+        for name, sign in (("eps1", self.eps1), ("eps2", self.eps2)):
+            if type(sign) is not int or sign not in (-1, 1):
+                raise ValueError(f"{name}: must be +1 or -1, got {sign!r}")
 
     @property
     def is_trivial(self) -> bool:
@@ -119,10 +120,7 @@ def make_lattice(v1, v2) -> Lattice:
     """Build a positively oriented lattice, swapping generators if needed."""
     v1 = (float(v1[0]), float(v1[1]))
     v2 = (float(v2[0]), float(v2[1]))
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if det == 0.0:
-        raise InvalidLatticeError(f"degenerate generators {v1}, {v2}")
-    if det < 0.0:
+    if v1[0] * v2[1] - v1[1] * v2[0] < 0.0:
         v1, v2 = v2, v1
     return Lattice(v1, v2)
 

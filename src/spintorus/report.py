@@ -77,14 +77,6 @@ def threshold_verdict(lambda_sqrt_area: float) -> dict:
     }
 
 
-def new_report(command: str, config_dict: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config_dict,
-    }
-
-
 def dump_report(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)

@@ -133,9 +133,9 @@ class ContinuationSchedule:
 
     def __post_init__(self):
         ps = self.p_values
-        if len(ps) < 1 or abs(ps[0] - 2.0) > 1e-12 or abs(ps[-1] - 4.0) > 1e-12:
+        if len(ps) < 1 or not (abs(ps[0] - 2.0) <= 1e-12 and abs(ps[-1] - 4.0) <= 1e-12):
             raise ValueError("schedule must start at p=2 and end at p=4")
-        if any(b <= a for a, b in zip(ps, ps[1:])):
+        if not all(a < b for a, b in zip(ps, ps[1:])):  # also rejects NaN
             raise ValueError("schedule must be strictly increasing")
 
     def solve_tolerance(self, n: int) -> float:
@@ -331,16 +331,15 @@ def solve_at_exponent(
 
     last_solve = "none"
     res, gap, total, r = merit(u, lam)
-    # The cap is tested first: a state reached on the last allowed step fails.
     for newton_iters in range(schedule.max_newton + 1):
+        if res < tol_solve and abs(gap) < schedule.tol_norm:
+            break
         if newton_iters == schedule.max_newton:
             raise ContinuationError(
                 f"Newton did not converge at p={p}: residual={res:.3e} after "
                 f"{schedule.max_newton} iterations; last MINRES solve: {last_solve}",
                 trace=[],
             )
-        if res < tol_solve and abs(gap) < schedule.tol_norm:
-            break
         absphi = pointwise_norm(u)
         w2 = pointwise_power(absphi, p - 2.0)
         hat = u * pointwise_power(absphi, -1.0)

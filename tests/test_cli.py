@@ -548,3 +548,72 @@ def test_malformed_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value
         argv += ["--solution", str(tmp_path / "missing.json")]
     assert main(argv) == EXIT_VALIDATION
     assert f"configuration error: {flag[2:]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flags, key",
+    [
+        ({"eps1": 3}, [], "eps1"),
+        ({"q_values": [1.2]}, [], "q_values"),
+        ({"q_values": [2.5]}, [], "q_values"),
+        ({"v2": "0 0"}, [], "lattice"),
+        ({"p_values": [2, 3]}, [], "p_values"),
+        ({"tol_closed": 0}, [], "tol_closed"),
+        ({"tol_cmc": -1}, [], "tol_cmc"),
+        ({"copies": [0, 1]}, [], "copies"),
+        ({"n_grid": 7}, [], "n_grid"),
+        ({"n_grid": 514}, [], "n_grid"),
+        (None, ["--grid", "7"], "n_grid"),
+        (None, ["--copies", "0x1"], "copies"),
+        ({"eps1": -1.5}, [], "eps1"),
+        ({"n_grid": 8.7}, [], "n_grid"),
+        ({"copies": [2.9, 1]}, [], "copies"),
+        ({"eps2": True}, [], "eps2"),
+        ({"out_dir": None}, [], "out_dir"),
+        ({"tol_norm": None}, [], "tol_norm"),
+        ({"tol_closed": None}, [], "tol_closed"),
+        ({"tol_cmc": None}, [], "tol_cmc"),
+        ({"zero_tol": None}, [], "zero_tol"),
+        ({"tol_norm": 10**400}, [], "tol_norm"),
+        ({"tol_norm": math.nan}, [], "tol_norm"),
+        ({"p_values": [2, math.nan, 4]}, [], "p_values"),
+        ({"p_values": [math.nan]}, [], "p_values"),
+    ],
+    ids=["eps1-3", "q-low", "q-high", "lattice-degenerate", "p-end", "tol-closed-0",
+         "tol-cmc-negative", "copies-0", "n-grid-odd", "n-grid-large", "flag-grid-odd",
+         "flag-copies-0", "eps1-fraction", "n-grid-fraction", "copies-fraction", "eps2-bool",
+         "out-dir-null", "tol-norm-null", "tol-closed-null", "tol-cmc-null", "zero-tol-null",
+         "tol-norm-overflow", "tol-norm-nan", "p-nan", "p-only-nan"],
+)
+def test_every_settings_rule_exits_2_naming_its_key(tmp_path, capsys, config, flags, key):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    argv = ["surface", "--solution", str(tmp_path / "missing.json"), *flags]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"configuration error: {key}:" in capsys.readouterr().err
+
+
+def test_null_solve_and_ascent_tolerances_take_their_defaults(tmp_path):
+    from spintorus.cli import EXIT_OK, main
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tol_grad": None, "tol_solve": None, "n_grid": 8}))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_solution_file_with_a_fractional_sign_exits_2_naming_spin(tmp_path, capsys):
+    from spintorus.cli import EXIT_VALIDATION, main
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    data = constant_solution(make_lattice((1, 0), (0, 2)), SpinStructure(1, -1), 8).to_dict()
+    data["spin"]["eps1"] = 1.0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", "--solution", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert "s.json: spin: eps1:" in capsys.readouterr().err

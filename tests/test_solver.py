@@ -292,3 +292,22 @@ def test_newton_solve_does_not_import_scipy():
         [sys.executable, "-c", NO_SCIPY_SOLVE_SCRIPT], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_newton_accepts_a_converged_init_with_no_steps_allowed():
+    spin = SpinStructure(1, -1)
+    init = constant_solution(SQ, spin, 16).phi
+    sol = solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=0))
+    assert sol.meta["newton_iters"] == 0
+
+
+def test_newton_accepts_the_state_reached_on_its_last_allowed_step():
+    # From this start Newton meets both tolerances exactly on step 40, the default cap.
+    spin = SpinStructure(1, -1)
+    init = first_positive_eigenspinor(SQ, spin, 16)
+    init = init + 0.02 * random_band_limited(SQ, spin, 16, np.random.default_rng(20240815))
+    assert ContinuationSchedule().max_newton == 40
+    sol = solve_at_exponent(4.0, init)
+    assert sol.meta["newton_iters"] == 40
+    with pytest.raises(ContinuationError, match="after 39 iterations"):
+        solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=39))
