@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Print one line `name sha256` per library output on fixed seeded inputs.
 
+A solve's line ends in its Newton step count, `steps=K` (summed over the
+stages of solve_critical), or `steps=failed`.
+
 usage: python scripts/library_outputs.py [SRC]
 
 SRC (default: the src/ next to this script) goes first on sys.path.  The
@@ -33,23 +36,29 @@ from spintorus import (  # noqa: E402
 from spintorus.fields import first_positive_eigenspinor, random_band_limited  # noqa: E402
 
 
-def emit(name, *parts):
+def emit(name, *parts, steps=None):
     digest = hashlib.sha256()
     for part in parts:
         digest.update(part if isinstance(part, bytes) else repr(part).encode())
-    print(name, digest.hexdigest())
+    print(name, digest.hexdigest(), *([] if steps is None else [f"steps={steps}"]))
 
 
 def solution(sol):
     return json.dumps(sol.to_dict(), sort_keys=True)
 
 
-def attempt(fn, *args, **kwargs):
-    """fn's Solution as its file text, or the message of the error it raised."""
+def newton_steps(sol):
+    return sum(stage["newton_iters"] for stage in sol.trace) if sol.trace else sol.meta["newton_iters"]
+
+
+def emit_solve(name, fn, *args, **kwargs):
+    """Hash fn's Solution as its file text, or the message of the error it raised."""
     try:
-        return solution(fn(*args, **kwargs))
+        sol = fn(*args, **kwargs)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        emit(name, f"{type(exc).__name__}: {exc}", steps="failed")
+    else:
+        emit(name, solution(sol), steps=newton_steps(sol))
 
 
 SPINS = SpinStructure.all_four()
@@ -67,20 +76,23 @@ for i, (x, y) in enumerate(TORI):
     rng = np.random.default_rng([9, i])
     init = first_positive_eigenspinor(lat1, spin, 32) + 0.1 * random_band_limited(lat1, spin, 32, rng)
     lam1 = constant_solution(lat1, spin, 32).lam
-    emit(f"solve_at_exponent/normalized/{i}", attempt(solve_at_exponent, 3.0 + i / 8, init))
-    emit(f"solve_at_exponent/fixed/{i}",
-         attempt(solve_at_exponent, 4.0, init, lambda_mode="fixed", lam_fixed=lam1))
+    emit_solve(f"solve_at_exponent/normalized/{i}", solve_at_exponent, 3.0 + i / 8, init)
+    emit_solve(f"solve_at_exponent/fixed/{i}",
+               solve_at_exponent, 4.0, init, lambda_mode="fixed", lam_fixed=lam1)
 
 sq, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
 init = first_positive_eigenspinor(sq, spin, 16)
 init = init + 0.02 * random_band_limited(sq, spin, 16, np.random.default_rng(20240815))
-# This solve meets both tolerances on its 40th Newton step: one step fewer fails.
-emit("solve_at_exponent/failing",
-     attempt(solve_at_exponent, 4.0, init, schedule=ContinuationSchedule(max_newton=39)))
-emit("solve_at_exponent/last_step", attempt(solve_at_exponent, 4.0, init))
+# Newton converges only linearly on the square, so round-off decides this
+# solve's step count k: the cap k accepts the state of step k, one step fewer fails.
+k = newton_steps(solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=1000)))
+emit_solve("solve_at_exponent/failing",
+           solve_at_exponent, 4.0, init, schedule=ContinuationSchedule(max_newton=k - 1))
+emit_solve("solve_at_exponent/last_step",
+           solve_at_exponent, 4.0, init, schedule=ContinuationSchedule(max_newton=k))
 
 lat = make_lattice((1, 0), (0.3, 1.4))
-emit("solve_critical", attempt(solve_critical, lat, spin, n_grid=16, seed=4, perturbation=0.2))
+emit_solve("solve_critical", solve_critical, lat, spin, n_grid=16, seed=4, perturbation=0.2)
 
 lat1 = lat.unit_area()
 init = first_positive_eigenspinor(lat1, spin, 16) + 0.3 * random_band_limited(

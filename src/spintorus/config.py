@@ -82,8 +82,8 @@ def _named(key: str, build) -> None:
 
 
 def _whole(value) -> int:
-    """int(value) where that changes nothing: 8, "8" and 8.0 pass, 8.7 and true do not."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """int(value) where that changes nothing: 8, "8" and 8.0 pass, 8.7 does not."""
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
 
@@ -102,6 +102,9 @@ def _entries(value) -> list:
 
 
 def _convert(key: str, value):
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in items):
+        raise ValueError(f"no setting takes true or false, got {value!r}")
     if key in _PAIRS:
         entries = _entries(value)
         if len(entries) != 2:

@@ -43,6 +43,11 @@ def _symbol(lat: Lattice, spin: SpinStructure, n: int) -> tuple[np.ndarray, np.n
     return symbol, modulus
 
 
+def dirac_symbol(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
+    """(S_12, S_21) in fft2 order (read-only): D maps a spectrum u_hat to symbol * u_hat[::-1]."""
+    return _symbol(lat, spin, n)[0]
+
+
 def symbol_modulus(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     """2 pi |xi| in fft2 index order: the modulus of D's eigenvalues (read-only)."""
     return _symbol(lat, spin, n)[1]
@@ -50,8 +55,7 @@ def symbol_modulus(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
 
 def apply_dirac(phi: SpinorField) -> SpinorField:
     """D phi, exact for band-limited fields: (S_12 u_minus, S_21 u_plus) modewise."""
-    symbol, _ = _symbol(phi.lat, phi.spin, phi.n_grid)
-    return phi.with_u(spectral_apply(phi.u[::-1], symbol))
+    return phi.with_u(spectral_apply(phi.u[::-1], dirac_symbol(phi.lat, phi.spin, phi.n_grid)))
 
 
 def project_out_kernel(phi: SpinorField) -> SpinorField:
@@ -82,7 +86,7 @@ def dirac_dense_matrix(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     """
     import scipy.linalg
 
-    s12, s21 = _symbol(lat, spin, n)[0]
+    s12, s21 = dirac_symbol(lat, spin, n)
     # D = F^* diag(symbol) F blockwise; assemble with dense DFT matrices.
     f1 = scipy.linalg.dft(n)  # unnormalized forward DFT
     fwd = np.kron(f1, f1)

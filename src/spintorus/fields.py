@@ -18,7 +18,7 @@ Fourier convention: numpy fft2 over the last two axes, so u[j, l] =
 sum_{m,k} d[m,k] exp(2 pi i (m j + k l)/N) with d = fft2(u)/N^2 and integer
 modes m, k = N * fftfreq(N) (`mode_index_grid`).  The physical mode vector
 of index (m, k) is xi = (m + t1) gamma1* + (k + t2) gamma2* with t_i the
-shift pairings.  Every Fourier multiplier acts through `spectral_apply`.
+shift pairings.  Fourier multipliers on sampled fields act through `spectral_apply`.
 The mode grids here are plain functions that build fresh arrays on each
 call; the only per-torus cache is the Dirac symbol in `dirac.py`.
 

@@ -8,9 +8,9 @@ bordered system
     D phi - lambda |phi|^{p-2} phi = 0,      ||phi||_p = 1,
 
 with lambda an unknown.  The nonlinearity is not complex-differentiable, so
-the Jacobian is assembled as a real-linear operator over (Re, Im) parts; it
-is symmetric, the normalization row is scaled to match the lambda column,
-and the linear solves use MINRES with a Fourier-diagonal preconditioner.
+the Jacobian is a symmetric real-linear operator over the (Re, Im) parts of
+unitary spectra fft2(psi)/N, where D and the preconditioner are diagonal; its
+normalization row is scaled to match the lambda column, and MINRES solves it.
 That MINRES is a port of SciPy's sparse.linalg.minres (Paige-Saunders) that
 repeats its arithmetic operation for operation, so its iterates are
 bit-identical to SciPy's; it also returns SciPy's exit flag and iteration
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import apply_dirac, project_out_kernel, symbol_modulus
+from .dirac import apply_dirac, dirac_symbol, project_out_kernel, symbol_modulus
 from .fields import (
     SpinorField,
     eigenvector_at_mode,
@@ -47,7 +47,6 @@ from .fields import (
     quadrature_weight,
     random_band_limited,
     real_number,
-    spectral_apply,
     spinor_from_dict,
     spinor_to_dict,
 )
@@ -155,17 +154,6 @@ def residual_field(phi: SpinorField, lam: float, p: float) -> SpinorField:
     return phi.with_u(apply_dirac(phi).u - lam * w * phi.u)
 
 
-def _pack(u, extra):
-    """[Re u_plus, Im u_plus, Re u_minus, Im u_minus, extra] as one real vector."""
-    return np.concatenate([np.stack([u.real, u.imag], axis=1).ravel(), extra])
-
-
-def _unpack(x, n):
-    """Inverse of _pack: the (2, N, N) complex array and the extra entries."""
-    parts = x[: 4 * n * n].reshape(2, 2, n, n)
-    return parts[:, 0] + 1j * parts[:, 1], x[4 * n * n :]
-
-
 #: What each MINRES exit flag (SciPy's istop) means, by the test that set it.
 MINRES_EXITS = {
     -1: "b is an eigenvector of the preconditioned operator",
@@ -269,17 +257,6 @@ def _minres(matvec, b, rtol, precond):
     return x, istop, itn
 
 
-def _fourier_preconditioner(lat, spin, n, shift):
-    """SPD approximate inverse: modewise 1/(2 pi |xi| + shift) on both components."""
-    inv = 1.0 / (symbol_modulus(lat, spin, n) + shift)
-
-    def mv(x):
-        u, extra = _unpack(x, n)
-        return _pack(spectral_apply(u, inv), extra)
-
-    return mv
-
-
 def solve_at_exponent(
     p: float,
     init: SpinorField | Solution,
@@ -329,6 +306,16 @@ def solve_at_exponent(
         gap = norm_gap(v) if bordered else 0.0
         return res, gap, math.hypot(res, gap), r
 
+    symbol, m = dirac_symbol(lat, spin, n), 4 * n * n
+    modulus = np.broadcast_to(symbol_modulus(lat, spin, n)[:, :, None], (2, n, n, 2)).ravel()
+    cross, dn = np.empty((n, n)), np.empty((2, n, n), complex)
+
+    def spectrum(v):  # (Re, Im) of each mode of fft2(v)/N: the first m floats of a MINRES vector
+        return np.fft.fft2(v, norm="ortho").view(float).ravel()
+
+    def modes(x):  # the complex (2, N, N) spectrum held in the first m floats of x
+        return x[:m].view(complex).reshape(2, n, n)
+
     last_solve = "none"
     res, gap, total, r = merit(u, lam)
     for newton_iters in range(schedule.max_newton + 1):
@@ -343,6 +330,9 @@ def solve_at_exponent(
         absphi = pointwise_norm(u)
         w2 = pointwise_power(absphi, p - 2.0)
         hat = u * pointwise_power(absphi, -1.0)
+        hat_parts = hat.view(float).reshape(2, n, n, 2)
+        # lambda d(|phi|^{p-2} phi)[psi] = lam_w2 * psi + lam_g * Re(conj(hat) . psi)
+        lam_w2, lam_g = lam * w2, lam * (p - 2.0) * w2 * hat
 
         # Unknowns beyond phi, one per border (column, rhs): the unknown e adds
         # e * column to the phi rows of the Jacobian, and the row
@@ -355,26 +345,29 @@ def solve_at_exponent(
         if bordered:
             norm_rhs = -(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa
             borders.insert(0, (-(w2 * u), norm_rhs))
+        columns = np.stack([spectrum(col) for col, _ in borders])
 
         def jac_mv(x):
-            psi, extra = _unpack(x, n)
-            cross = (np.conj(hat) * psi).sum(axis=0).real
-            # derivative of |phi|^{p-2} phi along psi
-            dn = w2 * psi + (p - 2.0) * w2 * cross * hat
-            out = apply_dirac(phi0.with_u(psi)).u - lam * dn
-            for e, (col, _) in zip(extra, borders):
-                out += e * col
-            rows = [float(np.sum((np.conj(col) * psi).sum(axis=0).real)) for col, _ in borders]
-            return _pack(out, np.array(rows))
+            psi = np.fft.ifft2(modes(x), norm="ortho")
+            np.einsum("cijk,cijk->ij", hat_parts, psi.view(float).reshape(2, n, n, 2), out=cross)
+            np.multiply(lam_g, cross, out=dn)
+            psi *= lam_w2
+            psi += dn  # lambda d(|phi|^{p-2} phi)[psi]; D and the borders act on spectra
+            out = np.empty(x.size)
+            out_hat = modes(out)
+            np.multiply(symbol, modes(x)[::-1], out=out_hat)
+            out_hat -= np.fft.fft2(psi, norm="ortho")
+            out[:m] += x[m:] @ columns
+            out[m:] = columns @ x[:m]
+            return out
 
-        b = -_pack(r, np.array([rhs for _, rhs in borders]))
-        prec = _fourier_preconditioner(
-            lat, spin, n, shift=1.0 + abs(lam) * float(w2.max(initial=0.0))
-        )
+        b = -np.concatenate([spectrum(r), [rhs for _, rhs in borders]])
+        shift = 1.0 + abs(lam) * float(w2.max(initial=0.0))
+        inv = 1.0 / np.concatenate([modulus + shift, np.ones(len(borders))])
         eta = max(min(1e-4, 0.1 * res), 1e-12)
-        x, istop, itn = _minres(jac_mv, b, rtol=eta, precond=prec)
+        x, istop, itn = _minres(jac_mv, b, rtol=eta, precond=lambda v: inv * v)
         last_solve = f"exit {istop} ({MINRES_EXITS[istop]}) after {itn} iterations"
-        step, extra = _unpack(x, n)
+        step, extra = np.fft.ifft2(modes(x), norm="ortho"), x[m:]
 
         t = 1.0
         while t >= DAMPING_MIN:

@@ -578,12 +578,18 @@ def test_malformed_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value
         ({"tol_norm": math.nan}, [], "tol_norm"),
         ({"p_values": [2, math.nan, 4]}, [], "p_values"),
         ({"p_values": [math.nan]}, [], "p_values"),
+        ({"tol_cmc": True}, [], "tol_cmc"),
+        ({"tol_solve": True}, [], "tol_solve"),
+        ({"v1": [True, 0]}, [], "v1"),
+        ({"p_values": [2, True, 4]}, [], "p_values"),
+        ({"q_values": [True]}, [], "q_values"),
     ],
     ids=["eps1-3", "q-low", "q-high", "lattice-degenerate", "p-end", "tol-closed-0",
          "tol-cmc-negative", "copies-0", "n-grid-odd", "n-grid-large", "flag-grid-odd",
          "flag-copies-0", "eps1-fraction", "n-grid-fraction", "copies-fraction", "eps2-bool",
          "out-dir-null", "tol-norm-null", "tol-closed-null", "tol-cmc-null", "zero-tol-null",
-         "tol-norm-overflow", "tol-norm-nan", "p-nan", "p-only-nan"],
+         "tol-norm-overflow", "tol-norm-nan", "p-nan", "p-only-nan", "tol-cmc-bool",
+         "tol-solve-bool", "v1-bool", "p-bool", "q-bool"],
 )
 def test_every_settings_rule_exits_2_naming_its_key(tmp_path, capsys, config, flags, key):
     from spintorus.cli import EXIT_VALIDATION, main

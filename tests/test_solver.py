@@ -302,12 +302,94 @@ def test_newton_accepts_a_converged_init_with_no_steps_allowed():
 
 
 def test_newton_accepts_the_state_reached_on_its_last_allowed_step():
-    # From this start Newton meets both tolerances exactly on step 40, the default cap.
+    # Newton converges only linearly on the square (its first eigenspace is
+    # two-dimensional), so round-off decides the step count k of this solve:
+    # k is read from an uncapped solve, about as many steps as the default cap.
     spin = SpinStructure(1, -1)
     init = first_positive_eigenspinor(SQ, spin, 16)
     init = init + 0.02 * random_band_limited(SQ, spin, 16, np.random.default_rng(20240815))
     assert ContinuationSchedule().max_newton == 40
-    sol = solve_at_exponent(4.0, init)
-    assert sol.meta["newton_iters"] == 40
-    with pytest.raises(ContinuationError, match="after 39 iterations"):
-        solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=39))
+    k = solve_at_exponent(
+        4.0, init, schedule=ContinuationSchedule(max_newton=1000)
+    ).meta["newton_iters"]
+    sol = solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=k))
+    assert sol.meta["newton_iters"] == k
+    with pytest.raises(ContinuationError, match=f"after {k - 1} iterations"):
+        solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=k - 1))
+
+
+class _NewtonSystem(Exception):
+    """Raised in place of the first MINRES solve, carrying its operator."""
+
+
+def _first_newton_system(monkeypatch, p, init, **kwargs):
+    """(matvec, rhs, precond) of the first Newton step's MINRES solve."""
+    from spintorus import solver
+
+    def capture(matvec, b, rtol, precond):
+        raise _NewtonSystem(matvec, b, precond)
+
+    monkeypatch.setattr(solver, "_minres", capture)
+    with pytest.raises(_NewtonSystem) as got:
+        solve_at_exponent(p, init, **kwargs)
+    return got.value.args
+
+
+def _unitary_spectrum(u):
+    return (np.fft.fft2(u) / u.shape[-1]).view(float).ravel()
+
+
+@pytest.mark.parametrize("lambda_mode", ["normalized", "fixed"])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch, lambda_mode, p):
+    n = 8
+    lat, spin = make_lattice((1, 0), (0.35, 1.3)), SpinStructure(1, -1)
+    init = first_positive_eigenspinor(lat, spin, n)
+    init = init + 0.2 * random_band_limited(lat, spin, n, np.random.default_rng(11))
+    if lambda_mode == "normalized":
+        phi = (1.0 / lp_norm(init, p)) * init
+        lam = lambda_consistency(Solution.of(phi, 1.0, p))
+        kwargs = {}
+    else:
+        phi, lam = init, 2.5
+        kwargs = {"lambda_mode": "fixed", "lam_fixed": lam}
+    matvec, rhs, precond = _first_newton_system(monkeypatch, p, init, **kwargs)
+    m = 4 * n * n
+    dim = rhs.size
+    assert dim == m + (2 if lambda_mode == "normalized" else 1)
+    eye = np.eye(dim)
+    a = np.stack([matvec(col) for col in eye], axis=1)
+    assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
+
+    # Central differences of the residual's spectrum and of the norm gap, in
+    # the unitary spectrum z of phi and in lambda.
+    z, h = _unitary_spectrum(phi.u), 1e-6
+
+    def field(z):
+        return phi.with_u(np.fft.ifft2(z.view(complex).reshape(2, n, n)) * n)
+
+    def residual(z, lm=lam):
+        return _unitary_spectrum(residual_field(field(z), lm, p).u)
+
+    def derivative(f, x, e):
+        return (f(x + h * e) - f(x - h * e)) / (2 * h)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+    assert close(a[:m, :m], np.stack([derivative(residual, z, e) for e in eye[:m, :m]], axis=1))
+    assert np.allclose(rhs[:m], -residual(z), rtol=0, atol=1e-13)
+    if lambda_mode == "normalized":
+        assert close(a[:m, m], derivative(lambda lm: residual(z, lm), lam, 1.0))
+        # The norm row is the gap's derivative times -||phi||_p^(p-1) / kappa
+        # (||phi||_p = 1 here), which matches it to the lambda column.
+        gap = np.array([derivative(lambda x: lp_norm(field(x), p), z, e) for e in eye[:m, :m]])
+        assert close(a[m, :m], -gap * n**2 / lat.area)
+    # The phase border: the column of i phi, the same row, no diagonal entry.
+    assert np.allclose(a[:m, -1], _unitary_spectrum(1j * phi.u), rtol=0, atol=1e-13)
+    assert np.all(a[m:, m:] == 0.0)
+
+    prec = np.stack([precond(col) for col in eye], axis=1)
+    diag = np.diag(prec)
+    assert np.array_equal(prec, np.diag(diag))
+    assert (diag > 0).all()
