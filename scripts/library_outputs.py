@@ -2,7 +2,8 @@
 """Print one line `name sha256` per library output on fixed seeded inputs.
 
 A solve's line ends in its Newton step count, `steps=K` (summed over the
-stages of solve_critical), or `steps=failed`.
+stages of solve_critical), or `steps=failed`; the maximize_Fq line ends in
+its ascent iteration count, `steps=K`.
 
 usage: python scripts/library_outputs.py [SRC]
 
@@ -99,7 +100,7 @@ init = first_positive_eigenspinor(lat1, spin, 16) + 0.3 * random_band_limited(
     lat1, spin, 16, np.random.default_rng(5))
 result = maximize_Fq(lat1, spin, 1.6, init)
 emit("maximize_Fq", result.phi.u.tobytes(), result.mu, result.iterations, result.grad_norm,
-     result.history)
+     result.history, steps=result.iterations)
 emit("normalize_euler_lagrange", solution(normalize_euler_lagrange(result.phi, 1.6, result.mu)))
 emit("mu_curve", mu_curve(lat, spin, (1.5, 1.7, 2.0), n_grid=12, seed=2))
 

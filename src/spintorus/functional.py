@@ -13,8 +13,13 @@ iterates are kept orthogonal to ker D and renormalized to ||D phi||_q = 1
 preconditioned by the inverse squared symbol (steepest ascent in the
 metric where u = D phi is the unknown); this keeps the iteration
 conditioning independent of the grid Nyquist scale while remaining a
-plain ascent scheme.  Outputs are stationary / locally maximal
-candidates; global maximality is never claimed.
+plain ascent scheme.  The ascent carries D phi beside phi: one fft2 gives
+the gradient spectrum, three ifft2 give the gradient, the direction d and
+D d, and every line-search trial phi + s d is evaluated by the linearity of
+D, as D phi + s D d, with no transform.  The returned mu and |grad| are
+recomputed from a fresh D phi, so they equal functional_Fq and the norm of
+grad_Fq at the returned field exactly.  Outputs are stationary / locally
+maximal candidates; global maximality is never claimed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import apply_dirac, project_out_kernel, symbol_modulus
+from .dirac import apply_dirac, dirac_symbol, project_out_kernel, symbol_modulus
 from .fields import (
     SpinorField,
     first_positive_eigenspinor,
@@ -33,7 +38,6 @@ from .fields import (
     lp_norm,
     pointwise_power,
     random_band_limited,
-    spectral_apply,
 )
 from .lattice import Lattice, SpinStructure
 from .solver import Solution
@@ -94,9 +98,13 @@ class FqState:
 
 
 def fq_state(phi: SpinorField, q: float) -> FqState:
+    return _state_from(phi, apply_dirac(phi), q)
+
+
+def _state_from(phi: SpinorField, dphi: SpinorField, q: float) -> FqState:
+    """The state of phi given dphi = D phi: no Dirac application."""
     if q < Q_CRITICAL - 1e-12 or q > 2.0 + 1e-12:
         raise ValueError("q must lie in [4/3, 2]")
-    dphi = apply_dirac(phi)
     den = lp_norm(dphi, q)
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("||D phi||_q vanishes")
@@ -115,19 +123,14 @@ def grad_Fq(phi: SpinorField, q: float) -> SpinorField:
 
 def _grad_at(phi: SpinorField, state: FqState) -> SpinorField:
     """grad_Fq(phi, state.q) from the state of phi: one more Dirac application."""
-    dphi, den = state.dphi, state.dphi_norm_q
+    return (2.0 / state.dphi_norm_q**2) * apply_dirac(_grad_preimage(phi, state))
+
+
+def _grad_preimage(phi: SpinorField, state: FqState) -> SpinorField:
+    """w = phi - rho |D phi|^{q-2} D phi, with grad F_q = (2/den^2) D w."""
+    dphi = state.dphi
     factor = state.rho * pointwise_power(dphi.pointwise_norm(), state.q - 2.0)
-    return (2.0 / den**2) * apply_dirac(phi.with_u(phi.u - factor * dphi.u))
-
-
-def _precondition(grad: SpinorField) -> SpinorField:
-    """Apply the inverse squared Dirac symbol modewise (kernel mode dropped).
-
-    The result is an ascent direction: the multiplier is positive definite
-    on the kernel complement, so Re<G, P G> > 0 unless P G = 0.
-    """
-    mult = symbol_modulus(grad.lat, grad.spin, grad.n_grid) ** 2
-    return grad.with_u(spectral_apply(grad.u, pointwise_power(mult, -1.0)))
+    return phi.with_u(phi.u - factor * dphi.u)
 
 
 @dataclass
@@ -161,36 +164,57 @@ def maximize_Fq(
         raise ValueError("init lives on another torus than (lat, spin)")
     opts = opts or MaximizeOptions()
     tol_grad = opts.tol_grad if opts.tol_grad is not None else 1e-8 * init.n_grid
+    symbol = dirac_symbol(lat, spin, init.n_grid)
+    # The preconditioner |symbol|^-2, 0 on the kernel mode: positive definite
+    # on the kernel complement, so Re<G, d> > 0 unless d = 0.
+    inv_modulus2 = pointwise_power(symbol_modulus(lat, spin, init.n_grid) ** 2, -1.0)
 
-    def normalize(f: SpinorField) -> SpinorField:
-        f = project_out_kernel(f)
-        den = lp_norm(apply_dirac(f), q)
+    def normalize(f: SpinorField, df: SpinorField) -> tuple[SpinorField, FqState]:
+        """(f, D f) scaled to ||D f||_q = 1, for f orthogonal to ker D."""
+        den = lp_norm(df, q)
         if den <= TOL_DEGENERATE:
             raise DegenerateFieldError("iterate collapsed into ker D")
-        return (1.0 / den) * f
+        phi = (1.0 / den) * f
+        return phi, _state_from(phi, (1.0 / den) * df, q)
 
-    phi = normalize(init)
-    state = fq_state(phi, q)
-    value = state.value
+    def gradient(phi: SpinorField, state: FqState) -> tuple[SpinorField, np.ndarray]:
+        """grad F_q at phi and its spectrum, from the carried D phi: one fft2, one ifft2."""
+        w_hat = np.fft.fft2(_grad_preimage(phi, state).u)
+        dw_hat = symbol * w_hat[::-1]
+        scale = 2.0 / state.dphi_norm_q**2
+        return scale * phi.with_u(np.fft.ifft2(dw_hat)), scale * dw_hat
+
+    def fresh(phi: SpinorField) -> tuple[FqState, float]:
+        """The state and |grad| of phi recomputed from D phi, as fq_state and grad_Fq give them."""
+        state = fq_state(phi, q)
+        return state, l2_norm(_grad_at(phi, state))
+
+    f = project_out_kernel(init)
+    phi, state = normalize(f, apply_dirac(f))
     step = STEP_INIT
-    history = [value]
-    grad_norm = math.inf
+    history = [state.value]
     for it in range(opts.max_iter):
-        grad = _grad_at(phi, state)
-        grad_norm = l2_norm(grad)
-        if grad_norm < tol_grad:
-            return MaximizeResult(phi, value, it, grad_norm, True, history)
-        direction = _precondition(grad)
+        grad, grad_hat = gradient(phi, state)
+        if l2_norm(grad) < tol_grad:
+            state, grad_norm = fresh(phi)
+            if grad_norm < tol_grad:
+                return MaximizeResult(phi, state.value, it, grad_norm, True, history)
+            grad, grad_hat = gradient(phi, state)
+        dir_hat = inv_modulus2 * grad_hat
+        direction = phi.with_u(np.fft.ifft2(dir_hat))
+        d_direction = phi.with_u(np.fft.ifft2(symbol * dir_hat[::-1]))
         slope = l2_inner(grad, direction).real
         if slope <= 0.0:
             break
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial = normalize(phi + step * direction)
-            trial_state = fq_state(trial, q)
-            if trial_state.value >= value + ARMIJO * step * slope:
-                phi, state, value = trial, trial_state, trial_state.value
-                history.append(value)
+            # D kills the kernel part the projection removes: D trial needs no transform.
+            trial, trial_state = normalize(
+                project_out_kernel(phi + step * direction), state.dphi + step * d_direction
+            )
+            if trial_state.value >= state.value + ARMIJO * step * slope:
+                phi, state = trial, trial_state
+                history.append(state.value)
                 step *= STEP_GROWTH
                 accepted = True
                 break
@@ -198,12 +222,12 @@ def maximize_Fq(
         if not accepted:
             # No admissible increase above roundoff: stationary on this grid.
             break
-    grad_norm = l2_norm(_grad_at(phi, state))
+    state, grad_norm = fresh(phi)
     if grad_norm < tol_grad:
-        return MaximizeResult(phi, value, opts.max_iter, grad_norm, True, history)
+        return MaximizeResult(phi, state.value, opts.max_iter, grad_norm, True, history)
     raise IterationLimitError(
         f"no convergence (|grad| = {grad_norm:.3e}, tol {tol_grad:.3e})",
-        MaximizeResult(phi, value, opts.max_iter, grad_norm, False, history),
+        MaximizeResult(phi, state.value, opts.max_iter, grad_norm, False, history),
     )
 
 

@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from spintorus import functional
 from spintorus.dirac import apply_dirac
 from spintorus.fields import (
     SpinorField,
@@ -14,6 +16,7 @@ from spintorus.fields import (
 )
 from spintorus.functional import (
     DegenerateFieldError,
+    IterationLimitError,
     MaximizeOptions,
     functional_Fq,
     fq_state,
@@ -200,3 +203,54 @@ def test_fq_state_exponent_relation(rng):
     state = fq_state(phi, 1.6)
     assert 1.0 / state.p + 1.0 / state.q == pytest.approx(1.0, abs=1e-15)
     assert state.rho == pytest.approx(state.value * state.dphi_norm_q ** (2 - 1.6))
+
+
+ASCENT_TORUS = make_lattice((1, 0), (0.3, 1.1)).unit_area()
+SPIN_IDS = [f"{s.eps1:+d}{s.eps2:+d}" for s in SpinStructure.all_four()]
+
+
+def _ascent_init(spin):
+    init = first_positive_eigenspinor(ASCENT_TORUS, spin, 12)
+    return init + 0.3 * random_band_limited(ASCENT_TORUS, spin, 12, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=SPIN_IDS)
+def test_ascent_line_search_takes_no_transform(spin, monkeypatch):
+    # Trials are evaluated by the linearity of D: an iteration costs one fft2
+    # and three ifft2 however many Armijo trials it makes, plus a fixed
+    # number at the start and for the recomputed verdict at the end.
+    init = _ascent_init(spin)
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, counted("transforms", getattr(np.fft, name)))
+    monkeypatch.setattr(
+        functional, "_checked_numerator", counted("evaluations", functional._checked_numerator)
+    )
+    result = maximize_Fq(ASCENT_TORUS, spin, 1.6, init)
+    assert result.converged
+    # One evaluation at the start and one fresh at the end; the rest are trials.
+    assert counts["evaluations"] - 2 > result.iterations
+    assert counts["transforms"] <= 4 * result.iterations + 8
+
+
+@pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=SPIN_IDS)
+def test_ascent_verdicts_are_recomputed(spin):
+    # mu and |grad| come from a fresh D phi, not from the carried one.
+    init = _ascent_init(spin)
+    result = maximize_Fq(ASCENT_TORUS, spin, 1.6, init)
+    assert result.converged
+    assert result.mu == functional_Fq(result.phi, 1.6)
+    assert result.grad_norm == l2_norm(grad_Fq(result.phi, 1.6))
+    with pytest.raises(IterationLimitError) as err:
+        maximize_Fq(ASCENT_TORUS, spin, 1.6, init, MaximizeOptions(max_iter=3, tol_grad=1e-30))
+    best = err.value.best
+    assert best.mu == functional_Fq(best.phi, 1.6)
+    assert best.grad_norm == l2_norm(grad_Fq(best.phi, 1.6))
