@@ -84,11 +84,10 @@ def dirac_dense_matrix(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
 
     The dense DFT matrices are built per call and not cached.
     """
-    import scipy.linalg
-
     s12, s21 = dirac_symbol(lat, spin, n)
     # D = F^* diag(symbol) F blockwise; assemble with dense DFT matrices.
-    f1 = scipy.linalg.dft(n)  # unnormalized forward DFT
+    # Unnormalized forward DFT, entry (j, k) = w^(j k) with w = exp(-2 pi i / n).
+    f1 = np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
     fwd = np.kron(f1, f1)
     inv = fwd.conj().T / n**2
     a12 = inv @ (s12.ravel()[:, None] * fwd)
@@ -105,18 +104,30 @@ def dirac_spectrum_numeric(
 ) -> list[EigenPair]:
     """k eigenpairs of the dense sample-basis Dirac matrix nearest 0.
 
-    Sorted by |value| then value; eigenfields are unit L^2 normalized.
+    Sorted by level: values whose |value| lie within 1e-9 times the largest
+    |value| of each other form one level, levels go by |value|, and within a
+    level the values of each sign are ranked by |value| and paired negative
+    first (-a, +a, -b, +b), so an even k cuts a symmetric level symmetrically.
+    Eigenfields are unit L^2 normalized.
     """
     dim = 2 * n_grid**2
     if k > dim:
         raise ValueError(f"requested {k} eigenpairs from a {dim}-dimensional space")
     if n_grid > DENSE_GRID_CAP:
         raise ValueError(f"dense diagonalization capped at N={DENSE_GRID_CAP}")
-    import scipy.linalg
-
     mat = dirac_dense_matrix(lat, spin, n_grid)
-    vals, vecs = scipy.linalg.eigh(mat, check_finite=False)
-    order = np.lexsort((vals, np.abs(vals)))[:k]
+    vals, vecs = np.linalg.eigh(mat)
+    mag = np.abs(vals)
+    by_mag = np.argsort(mag, kind="stable")
+    level = np.empty(dim, dtype=int)
+    level[by_mag] = np.concatenate(([0], np.cumsum(np.diff(mag[by_mag]) > 1e-9 * mag[by_mag[-1]])))
+    positive = vals >= 0
+    rank = np.empty(dim, dtype=int)
+    for sign in (False, True):
+        idx = by_mag[positive[by_mag] == sign]
+        # idx runs by |value|, so each level's entries are contiguous in it
+        rank[idx] = np.arange(len(idx)) - np.searchsorted(level[idx], level[idx])
+    order = np.lexsort((positive, rank, level))[:k]
     out = []
     for idx in order:
         u = vecs[:, idx].reshape(2, n_grid, n_grid)

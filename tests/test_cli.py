@@ -186,6 +186,7 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 sol_file = str(work / "solution.json")
+assert main(["spectrum", "--v1", "1 0", "--v2", "0 2", "--eps", "+1 -1", "--out", str(work)]) == 0
 assert main(["surface", "--solution", sol_file, "--out", str(work)]) == 0
 assert main(["check", "--solution", sol_file, "--out", str(work)]) == 0
 assert main(["mu-curve", "--grid", "8", "--out", str(work)]) == 0
@@ -198,6 +199,33 @@ def test_scipy_free_commands_do_not_import_scipy(tmp_path):
     # The pytest process has scipy loaded already; only a fresh interpreter can tell.
     result = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+SCIPY_BLOCKED_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from spintorus.cli import main
+
+out = sys.argv[1]
+readme = [
+    ["spectrum", "--v1", "1 0", "--v2", "0 2", "--eps", "+1 -1"],
+    ["solve", "--v1", "1 0", "--v2", "0 2", "--eps", "+1 -1", "--grid", "32", "--seed", "1"],
+    ["surface", "--solution", out + "/solution.json", "--copies", "3x1"],
+    ["check", "--solution", out + "/solution.json"],
+    ["mu-curve", "--v1", "1 0", "--v2", "0 1", "--eps", "+1 -1", "--grid", "16"],
+]
+for argv in readme:
+    code = main(argv + ["--out", out])
+    assert code == 0, (argv[0], code)
+"""
+
+
+def test_readme_commands_run_with_scipy_unimportable(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_SCRIPT, str(tmp_path)],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr

@@ -85,6 +85,15 @@ def test_numeric_spectrum_symmetric():
         assert np.allclose(values, sorted(-v for v in values), atol=1e-9)
 
 
+def test_numeric_spectrum_pairs_each_level_negative_first():
+    # k=10 takes 2 of the 8 values with |value| 6.4766 here; round-off must not pick which.
+    lat = make_lattice((1, 0), (0, 2))
+    values = [p.value for p in dirac_spectrum_numeric(lat, NT, 12, 10)]
+    for neg, pos in zip(values[::2], values[1::2]):
+        assert neg < 0 < pos
+        assert abs(neg + pos) <= 1e-9
+
+
 def test_numeric_matches_closed_form_small():
     lat = make_lattice((1, 0), (0, 2))
     closed = closed_form_spectrum(lat, NT, 6)
@@ -152,7 +161,7 @@ def test_symbol_cache_drops_old_tori():
 
 def test_dense_oracle_holds_no_memory_after_its_spectrum():
     # Grid sizes no other test diagonalizes, so nothing of them exists yet;
-    # the N=4 call loads scipy.linalg before tracing starts.
+    # the N=4 call does the first eigh's one-time setup before tracing starts.
     dirac_spectrum_numeric(SQ, NT, 4, 2)
     tracemalloc.start()
     try:
