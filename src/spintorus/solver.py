@@ -9,8 +9,14 @@ bordered system
 
 with lambda an unknown.  The nonlinearity is not complex-differentiable, so
 the Jacobian is a symmetric real-linear operator over the (Re, Im) parts of
-unitary spectra fft2(psi)/N, where D and the preconditioner are diagonal; its
-normalization row is scaled to match the lambda column, and MINRES solves it.
+unitary spectra fft2(psi)/N, where D is diagonal; its normalization row is
+scaled to match the lambda column, and MINRES solves it.  At a constant-length
+single-mode field the Jacobian couples the mode xi0 + eta only with
+xi0 - eta, so it splits exactly into 4x4 Hermitian blocks
+(constant_branch_blocks).  Built at the dominant mode of the current iterate,
+the blocks give MINRES an absolute-value preconditioner |B|^{-1} on a window
+of modes around xi0 (eigenvalues floored at the diagonal's shift); elsewhere
+the preconditioner is the diagonal 1/(2 pi |xi| + shift).
 That MINRES is a port of SciPy's sparse.linalg.minres (Paige-Saunders) that
 repeats its arithmetic operation for operation, so its iterates are
 bit-identical to SciPy's; it also returns SciPy's exit flag and iteration
@@ -58,6 +64,13 @@ SOLUTION_FORMAT = "spintorus-solution"
 #: tried before a step counts as stalled.
 MINRES_MAXITER = 4000
 DAMPING_MIN = 1e-4
+
+#: Half-width R of the window |eta|_inf <= R around the dominant mode k0 on
+#: which MINRES is preconditioned by the constant-branch blocks (at most
+#: N//2 - 1, so that no mode is in the window twice), and the floor of the
+#: eigenvalues of |B| there, in units of the diagonal preconditioner's shift.
+BLOCK_RADIUS = 5
+BLOCK_FLOOR = 1.0
 
 
 class ContinuationError(RuntimeError):
@@ -257,6 +270,49 @@ def _minres(matvec, b, rtol, precond):
     return x, istop, itn
 
 
+def constant_branch_blocks(u, lam, p, w2, symbol, radius):
+    """The Newton Jacobian of the constant branch through u, as 4x4 blocks.
+
+    k0 is the fft2 index of the largest sum_c |u_hat_c|^2 and v the unit
+    vector u_hat(k0) / |u_hat(k0)|.  A field of mode k0 alone, with
+    phi / |phi| = v e_k0 (e_k0 the unit-modulus wave) and lambda |phi|^{p-2}
+    = a = lam * mean(w2), has the Jacobian
+    psi -> D psi - a psi - 2b (phi/|phi|) Re((phi/|phi|)^* psi) with
+    b = lam (p-2) mean(w2) / 2.  It maps the pair
+    (psi_hat(k0+eta), conj psi_hat(k0-eta)) of unitary spectra to the same
+    pair of its image by the Hermitian
+
+        B = [[S(k) - a - b v v^*,  -b v v^T],
+             [-b conj(v) v^*,      conj S(k') - a - b conj(v) v^T]],
+
+    k = k0 + eta, k' = k0 - eta, S the symbol [[0, S_12], [S_21, 0]].  At a
+    constant-length single-mode u these blocks are the exact Jacobian.
+    Returns the flat fft2 indices of k and k' for every eta with
+    |eta|_inf <= radius, and the blocks, shape (2 radius + 1)^2 x 4 x 4.
+    """
+    n = u.shape[-1]
+    u_hat = np.fft.fft2(u, norm="ortho")
+    power = (np.abs(u_hat) ** 2).sum(axis=0)
+    i0, j0 = np.unravel_index(np.argmax(power), power.shape)
+    v = u_hat[:, i0, j0] / math.sqrt(power[i0, j0])
+    eta = np.arange(-radius, radius + 1)
+    di, dj = (d.ravel() for d in np.meshgrid(eta, eta, indexing="ij"))
+    plus = (i0 + di) % n * n + (j0 + dj) % n
+    minus = (i0 - di) % n * n + (j0 - dj) % n
+    w = float(np.mean(w2))
+    a, b = lam * w, lam * (p - 2.0) * w / 2.0
+    vv, vt = np.outer(v, v.conj()), np.outer(v, v)
+    blocks = np.broadcast_to(
+        -b * np.block([[vv, vt], [vt.conj(), vv.conj()]]) - a * np.eye(4), (plus.size, 4, 4)
+    ).copy()
+    s = symbol.reshape(2, n * n)
+    blocks[:, 0, 1] += s[0, plus]
+    blocks[:, 1, 0] += s[1, plus]
+    blocks[:, 2, 3] += s[0, minus].conj()
+    blocks[:, 3, 2] += s[1, minus].conj()
+    return plus, minus, blocks
+
+
 def solve_at_exponent(
     p: float,
     init: SpinorField | Solution,
@@ -364,8 +420,27 @@ def solve_at_exponent(
         b = -np.concatenate([spectrum(r), [rhs for _, rhs in borders]])
         shift = 1.0 + abs(lam) * float(w2.max(initial=0.0))
         inv = 1.0 / np.concatenate([modulus + shift, np.ones(len(borders))])
+        # On the window around the dominant mode the preconditioner is
+        # |B|^{-1} of the constant-branch blocks, its eigenvalues floored at
+        # BLOCK_FLOOR * shift so that near-null directions that no border
+        # removes are weighted no more than 1/shift; elsewhere, and on the
+        # border rows, it is the diagonal inv.  The blocks of eta and -eta
+        # hold the same real unknowns, and each gives the modes of its k.
+        radius = min(BLOCK_RADIUS, n // 2 - 1)
+        plus, minus, blocks = constant_branch_blocks(u, lam, p, w2, symbol, radius)
+        vals, vecs = np.linalg.eigh(blocks)
+        weights = 1.0 / np.maximum(np.abs(vals), BLOCK_FLOOR * shift)
+        top = (vecs[:, :2] * weights[:, None]) @ vecs.conj().transpose(0, 2, 1)
+
+        def precond(v):
+            y = inv * v
+            z = modes(v).reshape(2, n * n)
+            pair = np.concatenate([z[:, plus], z[:, minus].conj()]).T[:, :, None]
+            modes(y).reshape(2, n * n)[:, plus] = (top @ pair)[:, :, 0].T
+            return y
+
         eta = max(min(1e-4, 0.1 * res), 1e-12)
-        x, istop, itn = _minres(jac_mv, b, rtol=eta, precond=lambda v: inv * v)
+        x, istop, itn = _minres(jac_mv, b, rtol=eta, precond=precond)
         last_solve = f"exit {istop} ({MINRES_EXITS[istop]}) after {itn} iterations"
         step, extra = np.fft.ifft2(modes(x), norm="ortho"), x[m:]
 

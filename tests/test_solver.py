@@ -6,17 +6,19 @@ import sys
 import numpy as np
 import pytest
 
-from spintorus.dirac import apply_dirac
+from spintorus.dirac import apply_dirac, dirac_symbol, symbol_modulus
 from spintorus.fields import (
     first_positive_eigenspinor,
     l2_norm,
     lp_norm,
     pointwise_power,
     random_band_limited,
+    squared_twist_grid,
     zero_field,
 )
 from spintorus.lattice import SPHERE_CONSTANT_2D, SpinStructure, make_lattice
 from spintorus.solver import (
+    BLOCK_RADIUS,
     ContinuationError,
     ContinuationSchedule,
     Solution,
@@ -389,7 +391,111 @@ def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch,
     assert np.allclose(a[:m, -1], _unitary_spectrum(1j * phi.u), rtol=0, atol=1e-13)
     assert np.all(a[m:, m:] == 0.0)
 
+    # The preconditioner: symmetric positive definite, and the diagonal
+    # 1/(2 pi |xi| + shift) on every row outside the block window around the
+    # dominant mode k0 and on the border rows.
     prec = np.stack([precond(col) for col in eye], axis=1)
-    diag = np.diag(prec)
-    assert np.array_equal(prec, np.diag(diag))
-    assert (diag > 0).all()
+    assert np.abs(prec - prec.T).max() <= 1e-12 * np.abs(prec).max()
+    assert (np.linalg.eigvalsh(prec) > 0).all()
+    shift = 1.0 + abs(lam) * pointwise_power(phi.pointwise_norm(), p - 2.0).max()
+    diag = 1.0 / np.append(_real_rows(symbol_modulus(lat, spin, n)) + shift, np.ones(dim - m))
+    window = _real_rows(_window(phi.u, min(BLOCK_RADIUS, n // 2 - 1)))
+    outside = np.append(~window, np.ones(dim - m, bool))
+    assert 0 < outside[:m].sum() < m
+    assert np.abs(prec[outside] - np.diag(diag)[outside]).max() <= 1e-12 * diag.max()
+
+
+def _real_rows(grid):
+    """An (N, N) per-mode array repeated over the (component, Re/Im) rows of a MINRES vector."""
+    return np.broadcast_to(grid[:, :, None], (2, *grid.shape, 2)).ravel()
+
+
+def _window(u, radius):
+    """Mask of the modes k0 + eta, |eta|_inf <= radius, k0 the dominant mode of u."""
+    n = u.shape[-1]
+    power = (np.abs(np.fft.fft2(u)) ** 2).sum(axis=0)
+    k0 = np.unravel_index(np.argmax(power), power.shape)
+    dist = [np.abs((np.arange(n) - k + n // 2) % n - n // 2) for k in k0]
+    return np.maximum.outer(*dist) <= radius
+
+
+def _constant_branch_system(monkeypatch, lat, spin, n):
+    """The constant solution and its Newton system (tol_solve 0 forces one step)."""
+    sol = constant_solution(lat, spin, n)
+    schedule = ContinuationSchedule(tol_solve=0.0)
+    return sol, _first_newton_system(monkeypatch, 4.0, sol, schedule=schedule)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=str)
+def test_constant_branch_blocks_are_the_exact_jacobian(monkeypatch, spin, n):
+    from spintorus.solver import constant_branch_blocks
+
+    lat = make_lattice((1, 0), (0.35, 1.3)).unit_area()
+    sol, (matvec, rhs, _) = _constant_branch_system(monkeypatch, lat, spin, n)
+    eye = np.eye(rhs.size)
+    a = np.stack([matvec(col) for col in eye], axis=1)
+    w2 = pointwise_power(sol.phi.pointwise_norm(), 2.0)
+    plus, minus, blocks = constant_branch_blocks(
+        sol.phi.u, sol.lam, 4.0, w2, dirac_symbol(lat, spin, n), n // 2 - 1
+    )
+    assert blocks.shape == ((n - 1) ** 2, 4, 4)
+    scale = np.abs(blocks).max()
+    assert np.abs(blocks - np.conj(blocks.transpose(0, 2, 1))).max() <= 1e-15 * scale
+
+    def probe(k, q):
+        """psi_hat(q) -> (J psi)_hat(k) as z -> lin z + anti conj(z): (lin, anti)."""
+        rows, cols = ((np.arange(2) * n * n + i) * 2 for i in (k, q))  # Re rows of c = 0, 1
+        image_1, image_i = (a[rows][:, cols + r] + 1j * a[rows + 1][:, cols + r] for r in (0, 1))
+        return (image_1 - 1j * image_i) / 2, (image_1 + 1j * image_i) / 2
+
+    for k, kk, block in zip(plus, minus, blocks):
+        lin, anti = probe(k, k)
+        lin_k, anti_k = probe(kk, kk)
+        probed = np.block([
+            [lin, probe(k, kk)[1]],
+            [np.conj(probe(kk, k)[1]), np.conj(lin_k)],
+        ])
+        assert np.abs(block - probed).max() <= 1e-12 * scale
+        if k != kk:  # psi_hat(k) enters (J psi)_hat(k) complex-linearly
+            assert np.abs(anti).max() <= 1e-12 * scale and np.abs(anti_k).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=str)
+def test_block_preconditioner_floors_the_sp1_null_directions_at_shift(monkeypatch, spin):
+    # i phi, J phi and iJ phi are exact null vectors of the constant-branch
+    # Jacobian; only i phi is bordered.  |B|^{-1} would blow them up, and the
+    # floor gives them the weight 1/shift instead.
+    n = 12
+    lat = make_lattice((1, 0), (0.35, 1.3)).unit_area()
+    sol, (matvec, rhs, precond) = _constant_branch_system(monkeypatch, lat, spin, n)
+    u = sol.phi.u
+    shift = 1.0 + sol.lam * pointwise_power(sol.phi.pointwise_norm(), 2.0).max()
+    j_phi = np.conj(squared_twist_grid(lat, spin, n)) * np.stack([-np.conj(u[1]), np.conj(u[0])])
+    for w in (1j * u, j_phi, 1j * j_phi):
+        x = np.append(_unitary_spectrum(w), np.zeros(rhs.size - 4 * n * n))
+        assert np.abs(matvec(x)[: 4 * n * n]).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(precond(x) - x / shift).max() <= 1e-12 * np.abs(x).max() / shift
+
+
+def test_block_preconditioner_cuts_minres_iterations(monkeypatch):
+    from spintorus import solver
+
+    lat, spin, n = make_lattice((1, 0), (0.2, 1.4)).unit_area(), SpinStructure(1, -1), 32
+    init = first_positive_eigenspinor(lat, spin, n)
+    init = init + 0.2 * random_band_limited(lat, spin, n, np.random.default_rng(7))
+    minres, counts = solver._minres, []
+
+    def counting(matvec, b, rtol, precond):
+        x, istop, itn = minres(matvec, b, rtol, precond)
+        counts.append(itn)
+        return x, istop, itn
+
+    monkeypatch.setattr(solver, "_minres", counting)
+    totals = []
+    for radius in (solver.BLOCK_RADIUS, 0):
+        monkeypatch.setattr(solver, "BLOCK_RADIUS", radius)
+        counts.clear()
+        solve_at_exponent(4.0, init)
+        totals.append(sum(counts))
+    assert totals[0] <= 0.7 * totals[1], totals
