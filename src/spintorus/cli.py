@@ -68,7 +68,10 @@ def _resolve_config(args) -> RunConfig:
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: {exc}") from exc
     return out
 
 

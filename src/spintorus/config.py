@@ -53,6 +53,8 @@ class RunConfig:
         if k1 < 1 or k2 < 1:
             raise ConfigError(f"copies: tiling counts must be >= 1, got {self.copies}")
         _named("p_values", self.schedule)
+        if not self.q_values:
+            raise ConfigError("q_values: must not be empty")
         _named("q_values", lambda: [check_mu_exponent(q) for q in self.q_values])
         return self
 
@@ -124,7 +126,10 @@ def _convert(key: str, value):
 def load_config(path) -> RunConfig:
     """Read a config file: a JSON object, or INI-style sections whose keys are
     RunConfig fields (the section names only group them)."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpinorField, l2_norm, mode_vectors, spectral_apply
+from .fields import SpinorField, l2_norm, mode_vectors
 from .lattice import Lattice, SpinStructure
 
 #: Dense diagonalization is an oracle; larger grids use the closed form.
@@ -55,7 +55,12 @@ def symbol_modulus(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
 
 def apply_dirac(phi: SpinorField) -> SpinorField:
     """D phi, exact for band-limited fields: (S_12 u_minus, S_21 u_plus) modewise."""
-    return phi.with_u(spectral_apply(phi.u[::-1], dirac_symbol(phi.lat, phi.spin, phi.n_grid)))
+    # Naming the spectrum keeps the product in the order symbol * u_hat at
+    # every size: numpy computes `symbol * <temporary>` in place, as
+    # temporary * symbol, once the temporary reaches 256 KiB, and a complex
+    # product can round differently with its operands swapped.
+    u_hat = np.fft.fft2(phi.u)
+    return phi.with_u(np.fft.ifft2(dirac_symbol(phi.lat, phi.spin, phi.n_grid) * u_hat[::-1]))
 
 
 def project_out_kernel(phi: SpinorField) -> SpinorField:

@@ -14,11 +14,12 @@ Both coefficient functions live in one contiguous complex (2, N, N) array
 `SpinorField.u`, plus component first (the order of the file format);
 `plus` and `minus` are views of u[0] and u[1].
 
-Fourier convention: numpy fft2 over the last two axes, so u[j, l] =
-sum_{m,k} d[m,k] exp(2 pi i (m j + k l)/N) with d = fft2(u)/N^2 and integer
-modes m, k = N * fftfreq(N) (`mode_index_grid`).  The physical mode vector
-of index (m, k) is xi = (m + t1) gamma1* + (k + t2) gamma2* with t_i the
-shift pairings.  Fourier multipliers on sampled fields act through `spectral_apply`.
+Fourier convention: the field layer uses numpy's default fft2/ifft2 over
+the last two axes, so u[j, l] = sum_{m,k} d[m,k] exp(2 pi i (m j + k l)/N)
+with d = fft2(u)/N^2 and integer modes m, k = N * fftfreq(N)
+(`mode_index_grid`).  The physical mode vector of index (m, k) is
+xi = (m + t1) gamma1* + (k + t2) gamma2* with t_i the shift pairings.  The
+solver's MINRES alone runs on unitary spectra, fft2(u)/N.
 The mode grids here are plain functions that build fresh arrays on each
 call; the only per-torus cache is the Dirac symbol in `dirac.py`.
 
@@ -151,16 +152,6 @@ def mode_index_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.fft.fftfreq(n, d=1.0 / n)
     mm, kk = np.meshgrid(idx, idx, indexing="ij")
     return mm, kk
-
-
-def spectral_apply(arr: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """The Fourier multiplier mult applied over the last two axes of arr."""
-    # Naming the transform keeps the product in the order mult * arr_hat at
-    # every size: numpy computes `mult * <temporary>` in place, as
-    # temporary * mult, once the temporary reaches 256 KiB, and a complex
-    # product can round differently with its operands swapped.
-    arr_hat = np.fft.fft2(arr)
-    return np.fft.ifft2(mult * arr_hat)
 
 
 def mode_vectors(lat: Lattice, spin: SpinStructure, n: int):

@@ -118,19 +118,20 @@ def functional_Fq(phi: SpinorField, q: float) -> float:
 
 def grad_Fq(phi: SpinorField, q: float) -> SpinorField:
     """L^2-gradient representative G with Re<G, psi> = dF_q(phi)(psi)."""
-    return _grad_at(phi, fq_state(phi, q))
+    return _gradient(phi, fq_state(phi, q))[0]
 
 
-def _grad_at(phi: SpinorField, state: FqState) -> SpinorField:
-    """grad_Fq(phi, state.q) from the state of phi: one more Dirac application."""
-    return (2.0 / state.dphi_norm_q**2) * apply_dirac(_grad_preimage(phi, state))
+def _gradient(phi: SpinorField, state: FqState) -> tuple[SpinorField, np.ndarray]:
+    """grad F_q at phi and its spectrum, from the state's D phi: one fft2, one ifft2.
 
-
-def _grad_preimage(phi: SpinorField, state: FqState) -> SpinorField:
-    """w = phi - rho |D phi|^{q-2} D phi, with grad F_q = (2/den^2) D w."""
+    grad F_q = (2/den^2) D w with w = phi - rho |D phi|^{q-2} D phi.
+    """
     dphi = state.dphi
     factor = state.rho * pointwise_power(dphi.pointwise_norm(), state.q - 2.0)
-    return phi.with_u(phi.u - factor * dphi.u)
+    w_hat = np.fft.fft2(phi.u - factor * dphi.u)
+    dw_hat = dirac_symbol(phi.lat, phi.spin, phi.n_grid) * w_hat[::-1]
+    scale = 2.0 / state.dphi_norm_q**2
+    return scale * phi.with_u(np.fft.ifft2(dw_hat)), scale * dw_hat
 
 
 @dataclass
@@ -177,29 +178,22 @@ def maximize_Fq(
         phi = (1.0 / den) * f
         return phi, _state_from(phi, (1.0 / den) * df, q)
 
-    def gradient(phi: SpinorField, state: FqState) -> tuple[SpinorField, np.ndarray]:
-        """grad F_q at phi and its spectrum, from the carried D phi: one fft2, one ifft2."""
-        w_hat = np.fft.fft2(_grad_preimage(phi, state).u)
-        dw_hat = symbol * w_hat[::-1]
-        scale = 2.0 / state.dphi_norm_q**2
-        return scale * phi.with_u(np.fft.ifft2(dw_hat)), scale * dw_hat
-
     def fresh(phi: SpinorField) -> tuple[FqState, float]:
         """The state and |grad| of phi recomputed from D phi, as fq_state and grad_Fq give them."""
         state = fq_state(phi, q)
-        return state, l2_norm(_grad_at(phi, state))
+        return state, l2_norm(_gradient(phi, state)[0])
 
     f = project_out_kernel(init)
     phi, state = normalize(f, apply_dirac(f))
     step = STEP_INIT
     history = [state.value]
     for it in range(opts.max_iter):
-        grad, grad_hat = gradient(phi, state)
+        grad, grad_hat = _gradient(phi, state)
         if l2_norm(grad) < tol_grad:
             state, grad_norm = fresh(phi)
             if grad_norm < tol_grad:
                 return MaximizeResult(phi, state.value, it, grad_norm, True, history)
-            grad, grad_hat = gradient(phi, state)
+            grad, grad_hat = _gradient(phi, state)
         dir_hat = inv_modulus2 * grad_hat
         direction = phi.with_u(np.fft.ifft2(dir_hat))
         d_direction = phi.with_u(np.fft.ifft2(symbol * dir_hat[::-1]))

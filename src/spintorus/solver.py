@@ -339,28 +339,22 @@ def solve_at_exponent(
     if l2_norm(phi0) == 0.0:
         raise ValueError("init field is identically zero")
 
-    def density(v):  # |phi|^p
-        return (np.abs(v) ** 2).sum(axis=0) ** (p / 2.0)
-
     if bordered:
         u = phi0.u / lp_norm(phi0, p)
         du = apply_dirac(phi0.with_u(u)).u
         num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
-        lam = num / (kappa * float(np.sum(density(u))))
+        lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
     else:
         u = phi0.u.copy()
         lam = float(lam_fixed)
 
-    def norm_gap(v):
-        return (kappa * np.sum(density(v))) ** (1.0 / p) - 1.0
-
     def merit(v, lm):
         """Residual norm, norm gap, their hypot, and the residual array itself."""
-        r = residual_field(phi0.with_u(v), lm, p).u
-        sq = np.abs(r) ** 2
-        res = math.sqrt(kappa * float(np.sum(sq[0]) + np.sum(sq[1])))
-        gap = norm_gap(v) if bordered else 0.0
-        return res, gap, math.hypot(res, gap), r
+        phi = phi0.with_u(v)
+        r = residual_field(phi, lm, p)
+        res = l2_norm(r)
+        gap = lp_norm(phi, p) - 1.0 if bordered else 0.0
+        return res, gap, math.hypot(res, gap), r.u
 
     symbol, m = dirac_symbol(lat, spin, n), 4 * n * n
     modulus = np.broadcast_to(symbol_modulus(lat, spin, n)[:, :, None], (2, n, n, 2)).ravel()

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -393,15 +394,14 @@ def _spectral_jacobian(imm: Immersion):
     # subtract the linear part, differentiate the periodic part spectrally
     ss = np.arange(n)[:, None] / n
     tt = np.arange(n)[None, :] / n
-    lin = np.stack([imm.V1, imm.V2], axis=1)  # (3, 2) in (s, t) coords
-    per = imm.F - ss[..., None] * lin[:, 0] - tt[..., None] * lin[:, 1]
-    f_hat = np.fft.fft2(per, axes=(0, 1))
-    i2pi_m, i2pi_k = (2j * np.pi * mm)[..., None], (2j * np.pi * kk)[..., None]
-    d_s = np.fft.ifft2(i2pi_m * f_hat, axes=(0, 1)).real + lin[:, 0]
-    d_t = np.fft.ifft2(i2pi_k * f_hat, axes=(0, 1)).real + lin[:, 1]
+    v1, v2 = imm.V1[:, None, None], imm.V2[:, None, None]  # periods, one row per component
+    per = np.ascontiguousarray(np.moveaxis(imm.F, -1, 0)) - ss * v1 - tt * v2
+    f_hat = np.fft.fft2(per)
+    d_s = np.fft.ifft2(2j * np.pi * mm * f_hat).real + v1
+    d_t = np.fft.ifft2(2j * np.pi * kk * f_hat).real + v2
     # x = G^T (s, t), G rows = generators, so dF/dx = [d_s F, d_t F] (G^T)^{-1}
     g_inv_t = np.linalg.inv(imm.lat.generator_matrix()).T
-    return np.stack([d_s, d_t], axis=-1) @ g_inv_t
+    return np.stack([np.moveaxis(d, 0, -1) for d in (d_s, d_t)], axis=-1) @ g_inv_t
 
 
 def verify_immersion(
@@ -514,7 +514,7 @@ def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None
                 fh.write(v_row % tuple(row.tolist()))
             for row in faces:
                 fh.write(f_row % tuple(row.tolist()))
-        sidecar_path = obj_path.rsplit(".", 1)[0] + ".json"
+        sidecar_path = str(Path(obj_path).with_suffix(".json"))
         sidecar = {
             **imm.summary(),
             "lambda": lam if lam is not None else imm.H,

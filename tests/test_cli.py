@@ -565,8 +565,9 @@ def test_surface_of_a_field_that_is_not_closed_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("surface", "--copies", "3y1"), ("spectrum", "--eps", "+1")],
-    ids=["copies", "eps"],
+    [("surface", "--copies", "3y1"), ("spectrum", "--eps", "+1"),
+     ("spectrum", "--config", "/nonexistent/run.cfg")],
+    ids=["copies", "eps", "config-missing"],
 )
 def test_malformed_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value):
     from spintorus.cli import EXIT_VALIDATION, main
@@ -611,13 +612,14 @@ def test_malformed_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value
         ({"v1": [True, 0]}, [], "v1"),
         ({"p_values": [2, True, 4]}, [], "p_values"),
         ({"q_values": [True]}, [], "q_values"),
+        ({"q_values": []}, [], "q_values"),
     ],
     ids=["eps1-3", "q-low", "q-high", "lattice-degenerate", "p-end", "tol-closed-0",
          "tol-cmc-negative", "copies-0", "n-grid-odd", "n-grid-large", "flag-grid-odd",
          "flag-copies-0", "eps1-fraction", "n-grid-fraction", "copies-fraction", "eps2-bool",
          "out-dir-null", "tol-norm-null", "tol-closed-null", "tol-cmc-null", "zero-tol-null",
          "tol-norm-overflow", "tol-norm-nan", "p-nan", "p-only-nan", "tol-cmc-bool",
-         "tol-solve-bool", "v1-bool", "p-bool", "q-bool"],
+         "tol-solve-bool", "v1-bool", "p-bool", "q-bool", "q-empty"],
 )
 def test_every_settings_rule_exits_2_naming_its_key(tmp_path, capsys, config, flags, key):
     from spintorus.cli import EXIT_VALIDATION, main
@@ -629,6 +631,15 @@ def test_every_settings_rule_exits_2_naming_its_key(tmp_path, capsys, config, fl
         argv += ["--config", str(path)]
     assert main(argv) == EXIT_VALIDATION
     assert f"configuration error: {key}:" in capsys.readouterr().err
+
+
+def test_out_dir_that_cannot_be_made_exits_2_naming_out_dir(tmp_path, capsys):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    (tmp_path / "afile").write_text("")
+    code = main(["spectrum", "--grid", "8", "--out", str(tmp_path / "afile" / "sub")])
+    assert code == EXIT_VALIDATION
+    assert "configuration error: out_dir:" in capsys.readouterr().err
 
 
 def test_null_solve_and_ascent_tolerances_take_their_defaults(tmp_path):

@@ -206,6 +206,16 @@ def test_export_mesh_roundtrip(tmp_path):
                 break
 
 
+def test_export_mesh_sidecar_lands_beside_the_mesh(tmp_path):
+    # A dot in a directory name is not the mesh's suffix.
+    sol = constant_solution(make_lattice((1, 0), (0, 1)), NT, 8)
+    imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
+    (tmp_path / "runs.v2").mkdir()
+    _, sidecar = export_mesh(imm, (1, 1), tmp_path / "runs.v2" / "mesh")
+    assert sidecar == str(tmp_path / "runs.v2" / "mesh.json")
+    assert sorted(p.name for p in tmp_path.rglob("*.json")) == ["mesh.json"]
+
+
 def _per_line_obj(imm, copies):
     """Reference OBJ writer: one f-string per vertex and per face."""
     k1, k2 = copies
