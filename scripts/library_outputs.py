@@ -31,7 +31,7 @@ sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).pare
 
 from spintorus import (  # noqa: E402
     ContinuationSchedule, SpinStructure, build_alpha, closed_form_spectrum, constant_solution, count_zeros,
-    export_mesh, integrate_immersion, make_lattice, maximize_Fq, mu_curve,
+    export_mesh, functional_Fq, grad_Fq, integrate_immersion, make_lattice, maximize_Fq, mu_curve,
     normalize_euler_lagrange, solve_at_exponent, solve_critical, verify_immersion,
 )
 from spintorus.fields import first_positive_eigenspinor, random_band_limited  # noqa: E402
@@ -96,6 +96,10 @@ lat = make_lattice((1, 0), (0.3, 1.4))
 emit_solve("solve_critical", solve_critical, lat, spin, n_grid=16, seed=4, perturbation=0.2)
 
 lat1 = lat.unit_area()
+# The F_q oracle that maximize_Fq's returned mu and |grad| come from.
+field = random_band_limited(lat1, spin, 16, np.random.default_rng(6))
+emit("functional_Fq", *(functional_Fq(field, q) for q in (4 / 3, 1.6, 2.0)))
+emit("grad_Fq", *(grad_Fq(field, q).u.tobytes() for q in (4 / 3, 1.6, 2.0)))
 init = first_positive_eigenspinor(lat1, spin, 16) + 0.3 * random_band_limited(
     lat1, spin, 16, np.random.default_rng(5))
 result = maximize_Fq(lat1, spin, 1.6, init)

@@ -128,7 +128,7 @@ def load_config(path) -> RunConfig:
     RunConfig fields (the section names only group them)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
     try:
         data = json.loads(text)

@@ -9,17 +9,17 @@ lambda_1^+ * area^(1/2) over the conformal class.
 
 Maximization is projected gradient ascent with Armijo backtracking:
 iterates are kept orthogonal to ker D and renormalized to ||D phi||_q = 1
-(free, by homogeneity).  The ascent direction is the gradient
-preconditioned by the inverse squared symbol (steepest ascent in the
-metric where u = D phi is the unknown); this keeps the iteration
-conditioning independent of the grid Nyquist scale while remaining a
-plain ascent scheme.  The ascent carries D phi beside phi: one fft2 gives
-the gradient spectrum, three ifft2 give the gradient, the direction d and
-D d, and every line-search trial phi + s d is evaluated by the linearity of
-D, as D phi + s D d, with no transform.  The returned mu and |grad| are
-recomputed from a fresh D phi, so they equal functional_Fq and the norm of
-grad_Fq at the returned field exactly.  Outputs are stationary / locally
-maximal candidates; global maximality is never claimed.
+(free, by homogeneity).  The direction is the gradient preconditioned by
+the inverse squared symbol (steepest ascent in the metric where u = D phi
+is the unknown), which keeps the conditioning independent of the grid
+Nyquist scale.  The ascent carries the fft2 spectrum of phi beside D phi:
+an iteration takes one fft2 (the gradient) and one ifft2 (D d, for the
+direction d), and line-search trials phi + s d take none, being priced
+from spectral inner products and pointwise sums.  Armijo tests the gain
+F(phi + s d) - F(phi) free of cancellation against F, so gains below an
+ulp of F count.  mu and |grad| are recomputed from a fresh D phi, so they
+equal functional_Fq and |grad_Fq| at the returned field exactly.  Outputs
+are stationary / locally maximal candidates, never claimed global.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import apply_dirac, dirac_symbol, project_out_kernel, symbol_modulus
+from .dirac import apply_dirac, dirac_symbol, symbol_modulus
 from .fields import (
     SpinorField,
     first_positive_eigenspinor,
     l2_inner,
     l2_norm,
     lp_norm,
+    pointwise_norm,
     pointwise_power,
     random_band_limited,
 )
@@ -75,8 +76,7 @@ def conjugate_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
-def _checked_numerator(dphi: SpinorField, phi: SpinorField) -> float:
-    num = l2_inner(dphi, phi)
+def _checked_numerator(num: complex) -> float:
     scale = abs(num) + 1e-300
     if abs(num.imag) > 1e-9 * max(1.0, scale):
         raise FloatingPointError(
@@ -108,7 +108,7 @@ def _state_from(phi: SpinorField, dphi: SpinorField, q: float) -> FqState:
     den = lp_norm(dphi, q)
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("||D phi||_q vanishes")
-    value = _checked_numerator(dphi, phi) / den**2
+    value = _checked_numerator(l2_inner(dphi, phi)) / den**2
     return FqState(q, conjugate_exponent(q), value, value * den ** (2.0 - q), den, dphi)
 
 
@@ -164,58 +164,78 @@ def maximize_Fq(
     if (init.lat, init.spin) != (lat, spin):
         raise ValueError("init lives on another torus than (lat, spin)")
     opts = opts or MaximizeOptions()
-    tol_grad = opts.tol_grad if opts.tol_grad is not None else 1e-8 * init.n_grid
-    symbol = dirac_symbol(lat, spin, init.n_grid)
+    n = init.n_grid
+    tol_grad = opts.tol_grad if opts.tol_grad is not None else 1e-8 * n
+    symbol, modulus = dirac_symbol(lat, spin, n), symbol_modulus(lat, spin, n)
     # The preconditioner |symbol|^-2, 0 on the kernel mode: positive definite
     # on the kernel complement, so Re<G, d> > 0 unless d = 0.
-    inv_modulus2 = pointwise_power(symbol_modulus(lat, spin, init.n_grid) ** 2, -1.0)
+    inv_modulus2 = pointwise_power(modulus**2, -1.0)
+    kappa, weight = lat.area / n**2, lat.area / n**4  # per sample; per fft2 mode (Parseval)
 
-    def normalize(f: SpinorField, df: SpinorField) -> tuple[SpinorField, FqState]:
-        """(f, D f) scaled to ||D f||_q = 1, for f orthogonal to ker D."""
-        den = lp_norm(df, q)
-        if den <= TOL_DEGENERATE:
-            raise DegenerateFieldError("iterate collapsed into ker D")
-        phi = (1.0 / den) * f
-        return phi, _state_from(phi, (1.0 / den) * df, q)
+    def carried(phi_hat: np.ndarray, dphi: np.ndarray):
+        """The numerator, ||D phi||_q^q, |D phi| and the gradient spectrum of the
+        iterate with spectrum phi_hat and dphi = D phi: one fft2."""
+        num = _checked_numerator(weight * np.vdot(symbol * phi_hat[::-1], phi_hat))
+        mod = pointwise_norm(dphi)
+        nq = kappa * (mod**q).sum()
+        # grad = (2/den^2) D w, w = phi - rho |D phi|^{q-2} D phi, rho = num/nq.
+        w_hat = phi_hat - np.fft.fft2(num / nq * pointwise_power(mod, q - 2.0) * dphi)
+        return num, nq, mod, 2.0 / nq ** (2.0 / q) * (symbol * w_hat[::-1])
 
     def fresh(phi: SpinorField) -> tuple[FqState, float]:
         """The state and |grad| of phi recomputed from D phi, as fq_state and grad_Fq give them."""
         state = fq_state(phi, q)
         return state, l2_norm(_gradient(phi, state)[0])
 
-    f = project_out_kernel(init)
-    phi, state = normalize(f, apply_dirac(f))
-    step = STEP_INIT
-    history = [state.value]
+    # The symbol's zero modes span ker D (trivial spin only); d never has them.
+    phi_hat = np.where(modulus > 0.0, np.fft.fft2(init.u), 0.0)
+    dphi = np.fft.ifft2(symbol * phi_hat[::-1])
+    den = lp_norm(init.with_u(dphi), q)
+    if den <= TOL_DEGENERATE:
+        raise DegenerateFieldError("iterate collapsed into ker D")
+    phi_hat, dphi = phi_hat / den, dphi / den
+    num, nq, mod, grad_hat = carried(phi_hat, dphi)
+    history, s = [num / nq ** (2.0 / q)], STEP_INIT  # s: the step, phi -> phi + s d
     for it in range(opts.max_iter):
-        grad, grad_hat = _gradient(phi, state)
-        if l2_norm(grad) < tol_grad:
+        if math.sqrt(weight * np.vdot(grad_hat, grad_hat).real) < tol_grad:
+            phi = init.with_u(np.fft.ifft2(phi_hat))
             state, grad_norm = fresh(phi)
             if grad_norm < tol_grad:
                 return MaximizeResult(phi, state.value, it, grad_norm, True, history)
-            grad, grad_hat = _gradient(phi, state)
+            dphi = state.dphi.u
+            num, nq, mod, grad_hat = carried(phi_hat, dphi)
         dir_hat = inv_modulus2 * grad_hat
-        direction = phi.with_u(np.fft.ifft2(dir_hat))
-        d_direction = phi.with_u(np.fft.ifft2(symbol * dir_hat[::-1]))
-        slope = l2_inner(grad, direction).real
+        slope = weight * np.vdot(grad_hat, dir_hat).real
         if slope <= 0.0:
             break
-        accepted = False
+        ddir_hat = symbol * dir_hat[::-1]
+        ddir = np.fft.ifft2(ddir_hat)
+        # Along phi + s d the numerator is num + s b + s^2 c and |D phi|^2 gains the factor
+        # 1 + s lin + s^2 quad, so trials price the gain in F without transform or cancellation.
+        b = weight * (np.vdot(symbol * phi_hat[::-1], dir_hat) + np.vdot(ddir_hat, phi_hat))
+        c = weight * np.vdot(ddir_hat, dir_hat)
+        inv_mod2, ddir2, modq = pointwise_power(mod, -2.0), pointwise_norm(ddir) ** 2, mod**q
+        lin = 2.0 * (dphi.real * ddir.real + dphi.imag * ddir.imag).sum(axis=0) * inv_mod2
+        quad, ddir2_at_zeros = ddir2 * inv_mod2, ddir2[mod == 0.0]
         for _ in range(MAX_BACKTRACKS):
-            # D kills the kernel part the projection removes: D trial needs no transform.
-            trial, trial_state = normalize(
-                project_out_kernel(phi + step * direction), state.dphi + step * d_direction
-            )
-            if trial_state.value >= state.value + ARMIJO * step * slope:
-                phi, state = trial, trial_state
-                history.append(state.value)
-                step *= STEP_GROWTH
-                accepted = True
+            dn = kappa * (np.vdot(modq, np.expm1(q / 2 * np.log1p(s * lin + s * s * quad)))
+                          + ((s * s * ddir2_at_zeros) ** (q / 2)).sum())
+            trial_num, trial_nq = _checked_numerator(num + s * b + s * s * c), nq + dn
+            if trial_nq <= TOL_DEGENERATE**q:
+                raise DegenerateFieldError("iterate collapsed into ker D")
+            gain = s * b.real + s * s * c.real - num * math.expm1(2.0 / q * math.log1p(dn / nq))
+            if gain / trial_nq ** (2.0 / q) >= ARMIJO * s * slope:
+                scale = trial_nq ** (-1.0 / q)
+                phi_hat, dphi = scale * (phi_hat + s * dir_hat), scale * (dphi + s * ddir)
+                history.append(trial_num / trial_nq ** (2.0 / q))
+                num, nq, mod, grad_hat = carried(phi_hat, dphi)
+                s *= STEP_GROWTH
                 break
-            step *= 0.5
-        if not accepted:
+            s *= 0.5
+        else:
             # No admissible increase above roundoff: stationary on this grid.
             break
+    phi = init.with_u(np.fft.ifft2(phi_hat))
     state, grad_norm = fresh(phi)
     if grad_norm < tol_grad:
         return MaximizeResult(phi, state.value, opts.max_iter, grad_norm, True, history)

@@ -566,12 +566,15 @@ def test_surface_of_a_field_that_is_not_closed_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flag, value",
     [("surface", "--copies", "3y1"), ("spectrum", "--eps", "+1"),
-     ("spectrum", "--config", "/nonexistent/run.cfg")],
-    ids=["copies", "eps", "config-missing"],
+     ("spectrum", "--config", "/nonexistent/run.cfg"), ("spectrum", "--config", "utf16.cfg")],
+    ids=["copies", "eps", "config-missing", "config-not-utf8"],
 )
-def test_malformed_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value):
+def test_malformed_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, command, flag, value):
     from spintorus.cli import EXIT_VALIDATION, main
 
+    # A UTF-16 file opens with the byte order mark ff fe, which is not UTF-8.
+    (tmp_path / "utf16.cfg").write_text('{"n_grid": 16}', encoding="utf-16")
+    monkeypatch.chdir(tmp_path)
     argv = [command, flag, value, "--out", str(tmp_path / "out")]
     if command == "surface":
         argv += ["--solution", str(tmp_path / "missing.json")]

@@ -254,3 +254,42 @@ def test_ascent_verdicts_are_recomputed(spin):
     best = err.value.best
     assert best.mu == functional_Fq(best.phi, 1.6)
     assert best.grad_norm == l2_norm(grad_Fq(best.phi, 1.6))
+
+
+@pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=SPIN_IDS)
+def test_ascent_iteration_takes_one_fft2_and_one_ifft2(spin, monkeypatch):
+    # An iteration transforms once each way (the gradient spectrum and D d),
+    # plus a fixed number at the start and for the recomputed verdict at the end.
+    init = _ascent_init(spin)
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    result = maximize_Fq(ASCENT_TORUS, spin, 1.6, init)
+    assert result.converged
+    assert counts["fft2"] <= result.iterations + 4
+    assert counts["ifft2"] <= result.iterations + 4
+
+
+@pytest.mark.parametrize("spin", SpinStructure.all_four()[1:], ids=SPIN_IDS[1:])
+def test_ascent_resolves_gains_below_an_ulp_of_F(spin):
+    # Near |grad| = 1e-10 an accepted step gains far less than an ulp of F,
+    # so only an Armijo test free of cancellation against F sees it.
+    opts = MaximizeOptions(tol_grad=1e-11 * 12, max_iter=2000)
+    assert maximize_Fq(ASCENT_TORUS, spin, 1.6, _ascent_init(spin), opts).converged
+
+
+def test_mu_curve_converges_on_a_long_torus():
+    # The q = 1.5 row warm-starts from q = 1.6 next to a maximizer whose
+    # gains fall below an ulp of F before |grad| reaches its tolerance.
+    lat = make_lattice((1, 0), (0, 3))
+    pts = mu_curve(lat, SpinStructure(-1, 1), [1.5, 1.6, 1.8, 2.0], n_grid=32, seed=0)
+    assert pts[0].q == 1.5 and pts[0].converged
+    assert pts[0].mu == pytest.approx(0.222691554376, abs=1e-10)
