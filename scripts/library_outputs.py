@@ -76,10 +76,10 @@ for i, (x, y) in enumerate(TORI):
     lat1, spin = lat.unit_area(), SPINS[i % 4]
     rng = np.random.default_rng([9, i])
     init = first_positive_eigenspinor(lat1, spin, 32) + 0.1 * random_band_limited(lat1, spin, 32, rng)
-    lam1 = constant_solution(lat1, spin, 32).lam
     emit_solve(f"solve_at_exponent/normalized/{i}", solve_at_exponent, 3.0 + i / 8, init)
-    emit_solve(f"solve_at_exponent/fixed/{i}",
-               solve_at_exponent, 4.0, init, lambda_mode="fixed", lam_fixed=lam1)
+    # Newton converges only linearly on p4/3 (a 4-fold first level) and p4/4 (a
+    # bifurcation exponent of the constant branch): both end steps=failed.
+    emit_solve(f"solve_at_exponent/p4/{i}", solve_at_exponent, 4.0, init)
 
 sq, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
 init = first_positive_eigenspinor(sq, spin, 16)

@@ -45,6 +45,8 @@ class RunConfig:
         n = self.n_grid
         if n % 2 != 0 or not 4 <= n <= 512:
             raise ConfigError(f"n_grid: must be even and in [4, 512], got {n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for name in _TOLERANCES:
             val = getattr(self, name)
             if val is not None and not val > 0:

@@ -238,10 +238,10 @@ def maximize_Fq(
     phi = init.with_u(np.fft.ifft2(phi_hat))
     state, grad_norm = fresh(phi)
     if grad_norm < tol_grad:
-        return MaximizeResult(phi, state.value, opts.max_iter, grad_norm, True, history)
+        return MaximizeResult(phi, state.value, len(history) - 1, grad_norm, True, history)
     raise IterationLimitError(
         f"no convergence (|grad| = {grad_norm:.3e}, tol {tol_grad:.3e})",
-        MaximizeResult(phi, state.value, opts.max_iter, grad_norm, False, history),
+        MaximizeResult(phi, state.value, len(history) - 1, grad_norm, False, history),
     )
 
 

@@ -316,44 +316,37 @@ def constant_branch_blocks(u, lam, p, w2, symbol, radius):
 def solve_at_exponent(
     p: float,
     init: SpinorField | Solution,
-    lambda_mode: str = "normalized",
-    lam_fixed: float | None = None,
     schedule: ContinuationSchedule = ContinuationSchedule(),
 ) -> Solution:
     """Damped Newton for one exponent; matrix-free Jacobian, MINRES linear solves.
 
-    lambda_mode 'normalized' enforces ||phi||_p = 1 with lambda unknown;
-    'fixed' solves at lam_fixed with phi alone unknown.  Of the schedule only
-    the stopping rule is read: solve_tolerance(N), tol_norm and max_newton.
-    MINRES and the damping search are bounded by MINRES_MAXITER and DAMPING_MIN.
+    lambda is an unknown beside phi, fixed by ||phi||_p = 1.  For p > 2 a
+    prescribed lambda0 needs no solve of its own: c phi with
+    c = (lam / lam0)**(1/(p-2)) solves D psi = lam0 |psi|^{p-2} psi.  Of the
+    schedule only the stopping rule is read: solve_tolerance(N), tol_norm and
+    max_newton.  MINRES and the damping search are bounded by MINRES_MAXITER
+    and DAMPING_MIN.
     """
     _check_exponent(p)
-    if lambda_mode not in ("normalized", "fixed"):
-        raise ValueError("lambda_mode must be 'normalized' or 'fixed'")
     phi0 = init.phi if isinstance(init, Solution) else init
     lat, spin, n = phi0.lat, phi0.spin, phi0.n_grid
     tol_solve = schedule.solve_tolerance(n)
     kappa = quadrature_weight(phi0)
-    bordered = lambda_mode == "normalized"
 
     if l2_norm(phi0) == 0.0:
         raise ValueError("init field is identically zero")
 
-    if bordered:
-        u = phi0.u / lp_norm(phi0, p)
-        du = apply_dirac(phi0.with_u(u)).u
-        num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
-        lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
-    else:
-        u = phi0.u.copy()
-        lam = float(lam_fixed)
+    u = phi0.u / lp_norm(phi0, p)
+    du = apply_dirac(phi0.with_u(u)).u
+    num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
+    lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
 
     def merit(v, lm):
         """Residual norm, norm gap, their hypot, and the residual array itself."""
         phi = phi0.with_u(v)
         r = residual_field(phi, lm, p)
         res = l2_norm(r)
-        gap = lp_norm(phi, p) - 1.0 if bordered else 0.0
+        gap = lp_norm(phi, p) - 1.0
         return res, gap, math.hypot(res, gap), r.u
 
     symbol, m = dirac_symbol(lat, spin, n), 4 * n * n
@@ -387,14 +380,12 @@ def solve_at_exponent(
         # Unknowns beyond phi, one per border (column, rhs): the unknown e adds
         # e * column to the phi rows of the Jacobian, and the row
         # Re<column, psi> = rhs is appended, so the bordered operator stays
-        # symmetric.  lambda's column is -|phi|^{p-2} phi (normalized mode only;
-        # its row is the linearized norm constraint); the column i phi is a
-        # Lagrange multiplier anchoring the U(1) phase, which removes the exact
-        # gauge null vector (i phi, 0): the step must not rotate the phase.
-        borders = [(1j * u, 0.0)]
-        if bordered:
-            norm_rhs = -(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa
-            borders.insert(0, (-(w2 * u), norm_rhs))
+        # symmetric.  lambda's column is -|phi|^{p-2} phi (its row is the
+        # linearized norm constraint); the column i phi is a Lagrange multiplier
+        # anchoring the U(1) phase, which removes the exact gauge null vector
+        # (i phi, 0): the step must not rotate the phase.
+        norm_rhs = -(kappa / p * float(np.sum(absphi**p)) - 1.0 / p) / kappa
+        borders = [(-(w2 * u), norm_rhs), (1j * u, 0.0)]
         columns = np.stack([spectrum(col) for col, _ in borders])
 
         def jac_mv(x):
@@ -441,7 +432,7 @@ def solve_at_exponent(
         t = 1.0
         while t >= DAMPING_MIN:
             trial = u + t * step
-            trial_lam = lam + t * float(extra[0]) if bordered else lam
+            trial_lam = lam + t * float(extra[0])
             t_res, t_gap, t_total, t_r = merit(trial, trial_lam)
             if t_total <= (1.0 - 1e-4 * t) * total or t_total < 1e-15:
                 u, lam = trial, trial_lam

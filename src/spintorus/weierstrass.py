@@ -300,16 +300,12 @@ class ZeroCount:
     ok: bool
 
 
-def count_zeros(
-    phi: SpinorField, lam: float, genus: int = 1, zero_tol: float = 1e-6
-) -> ZeroCount:
-    """Detected spinor zeros against the Gauss-Bonnet bound genus-1+lambda^2/(4 pi).
+def count_zeros(phi: SpinorField, lam: float, zero_tol: float = 1e-6) -> ZeroCount:
+    """Detected spinor zeros against the torus's Gauss-Bonnet bound lambda^2/(4 pi).
 
     A grid cluster below zero_tol * max|phi| counts as a zero when either
     half-spinor component has nonzero winding around it.
     """
-    if genus != 1:
-        raise ValueError("only the torus (genus 1) is covered")
     n = phi.n_grid
     zeros = []
     for center, comp in _zero_clusters(phi.pointwise_norm(), zero_tol):
@@ -321,7 +317,7 @@ def count_zeros(
         order = max(abs(w_plus), abs(w_minus))
         if order >= 1:
             zeros.append((center[0], center[1], order))
-    bound = genus - 1 + lam**2 / (4.0 * np.pi)
+    bound = lam**2 / (4.0 * np.pi)
     return ZeroCount(zeros, bound, ok=len(zeros) <= bound)
 
 

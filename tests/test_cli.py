@@ -616,13 +616,16 @@ def test_malformed_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, command
         ({"p_values": [2, True, 4]}, [], "p_values"),
         ({"q_values": [True]}, [], "q_values"),
         ({"q_values": []}, [], "q_values"),
+        ({"seed": -1}, [], "seed"),
+        (None, ["--seed", "-1"], "seed"),
     ],
     ids=["eps1-3", "q-low", "q-high", "lattice-degenerate", "p-end", "tol-closed-0",
          "tol-cmc-negative", "copies-0", "n-grid-odd", "n-grid-large", "flag-grid-odd",
          "flag-copies-0", "eps1-fraction", "n-grid-fraction", "copies-fraction", "eps2-bool",
          "out-dir-null", "tol-norm-null", "tol-closed-null", "tol-cmc-null", "zero-tol-null",
          "tol-norm-overflow", "tol-norm-nan", "p-nan", "p-only-nan", "tol-cmc-bool",
-         "tol-solve-bool", "v1-bool", "p-bool", "q-bool", "q-empty"],
+         "tol-solve-bool", "v1-bool", "p-bool", "q-bool", "q-empty", "seed-negative",
+         "flag-seed-negative"],
 )
 def test_every_settings_rule_exits_2_naming_its_key(tmp_path, capsys, config, flags, key):
     from spintorus.cli import EXIT_VALIDATION, main

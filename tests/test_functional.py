@@ -198,6 +198,17 @@ def test_iteration_limit_carries_best_iterate(rng):
     assert best.mu <= 1.0 / math.pi + 1e-9
 
 
+def test_early_stop_reports_the_steps_taken():
+    # From the eigenspinor no trial increases F after a few steps, so the loop
+    # stops long before max_iter; iterations counts the accepted steps.
+    init = first_positive_eigenspinor(SQ, NT, 16)
+    opts = MaximizeOptions(tol_grad=1e-30)
+    with pytest.raises(IterationLimitError) as err:
+        maximize_Fq(SQ, NT, 1.6, init, opts)
+    best = err.value.best
+    assert best.iterations == len(best.history) - 1 < opts.max_iter
+
+
 def test_fq_state_exponent_relation(rng):
     phi = random_band_limited(SQ, NT, 8, rng)
     state = fq_state(phi, 1.6)
@@ -217,8 +228,8 @@ def _ascent_init(spin):
 @pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=SPIN_IDS)
 def test_ascent_line_search_takes_no_transform(spin, monkeypatch):
     # Trials are evaluated by the linearity of D: an iteration costs one fft2
-    # and three ifft2 however many Armijo trials it makes, plus a fixed
-    # number at the start and for the recomputed verdict at the end.
+    # and one ifft2 however many Armijo trials it makes, plus a fixed number
+    # at the start and for the recomputed verdict at the end.
     init = _ascent_init(spin)
     counts = collections.Counter()
 

@@ -85,13 +85,18 @@ def test_solve_p4_tall_rectangle_unscaled():
     assert sol.phi.pointwise_norm()[0, 0] ** 2 == pytest.approx(0.5, rel=1e-11)
 
 
-def test_solve_fixed_lambda_mode(rng):
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_rescaled_solution_solves_at_a_prescribed_lambda(rng, p):
+    # c phi, c = (lam / lam0)^(1/(p-2)), solves D psi = lam0 |psi|^{p-2} psi;
+    # lam0 = 2 makes c != 1 (lam = pi here).
     init = first_positive_eigenspinor(SQ, NT, 16)
     init = init + 0.02 * random_band_limited(SQ, NT, 16, rng)
     init = (1.0 / lp_norm(init, 4.0)) * init
-    sol = solve_at_exponent(4.0, init, lambda_mode="fixed", lam_fixed=math.pi)
-    assert sol.lam == math.pi
-    assert sol.residual < 1.6e-8
+    sol = solve_at_exponent(p, init)
+    lam0 = 2.0
+    c = (sol.lam / lam0) ** (1.0 / (p - 2.0))
+    assert abs(c - 1.0) > 0.2
+    assert l2_norm(residual_field(c * sol.phi, lam0, p)) < 1.6e-8
 
 
 def test_solve_critical_unit_square(rng):
@@ -150,11 +155,6 @@ def test_schedule_validation():
 def test_zero_init_rejected():
     with pytest.raises(ValueError):
         solve_at_exponent(4.0, zero_field(SQ, NT, 8))
-
-
-def test_invalid_lambda_mode_rejected():
-    with pytest.raises(ValueError):
-        solve_at_exponent(4.0, constant_solution(SQ, NT, 8).phi, lambda_mode="bogus")
 
 
 def test_continuation_failure_carries_trace(rng):
@@ -341,24 +341,18 @@ def _unitary_spectrum(u):
     return (np.fft.fft2(u) / u.shape[-1]).view(float).ravel()
 
 
-@pytest.mark.parametrize("lambda_mode", ["normalized", "fixed"])
 @pytest.mark.parametrize("p", [3.0, 4.0])
-def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch, lambda_mode, p):
+def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch, p):
     n = 8
     lat, spin = make_lattice((1, 0), (0.35, 1.3)), SpinStructure(1, -1)
     init = first_positive_eigenspinor(lat, spin, n)
     init = init + 0.2 * random_band_limited(lat, spin, n, np.random.default_rng(11))
-    if lambda_mode == "normalized":
-        phi = (1.0 / lp_norm(init, p)) * init
-        lam = lambda_consistency(Solution.of(phi, 1.0, p))
-        kwargs = {}
-    else:
-        phi, lam = init, 2.5
-        kwargs = {"lambda_mode": "fixed", "lam_fixed": lam}
-    matvec, rhs, precond = _first_newton_system(monkeypatch, p, init, **kwargs)
+    phi = (1.0 / lp_norm(init, p)) * init
+    lam = lambda_consistency(Solution.of(phi, 1.0, p))
+    matvec, rhs, precond = _first_newton_system(monkeypatch, p, init)
     m = 4 * n * n
     dim = rhs.size
-    assert dim == m + (2 if lambda_mode == "normalized" else 1)
+    assert dim == m + 2
     eye = np.eye(dim)
     a = np.stack([matvec(col) for col in eye], axis=1)
     assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
@@ -381,12 +375,11 @@ def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch,
 
     assert close(a[:m, :m], np.stack([derivative(residual, z, e) for e in eye[:m, :m]], axis=1))
     assert np.allclose(rhs[:m], -residual(z), rtol=0, atol=1e-13)
-    if lambda_mode == "normalized":
-        assert close(a[:m, m], derivative(lambda lm: residual(z, lm), lam, 1.0))
-        # The norm row is the gap's derivative times -||phi||_p^(p-1) / kappa
-        # (||phi||_p = 1 here), which matches it to the lambda column.
-        gap = np.array([derivative(lambda x: lp_norm(field(x), p), z, e) for e in eye[:m, :m]])
-        assert close(a[m, :m], -gap * n**2 / lat.area)
+    assert close(a[:m, m], derivative(lambda lm: residual(z, lm), lam, 1.0))
+    # The norm row is the gap's derivative times -||phi||_p^(p-1) / kappa
+    # (||phi||_p = 1 here), which matches it to the lambda column.
+    gap = np.array([derivative(lambda x: lp_norm(field(x), p), z, e) for e in eye[:m, :m]])
+    assert close(a[m, :m], -gap * n**2 / lat.area)
     # The phase border: the column of i phi, the same row, no diagonal entry.
     assert np.allclose(a[:m, -1], _unitary_spectrum(1j * phi.u), rtol=0, atol=1e-13)
     assert np.all(a[m:, m:] == 0.0)

@@ -180,11 +180,6 @@ def test_count_zeros_nowhere_small(rng):
     assert count_zeros(lifted, lam=1.0).zeros == []
 
 
-def test_count_zeros_requires_genus_one(rng):
-    with pytest.raises(ValueError):
-        count_zeros(random_band_limited(SQ, NT, 8, rng), 1.0, genus=2)
-
-
 def test_export_mesh_roundtrip(tmp_path):
     n = 32
     lat = make_lattice((1, 0), (0, 1))
