@@ -11,14 +11,13 @@ __version__ = "0.1.0"
 from .lattice import (
     Lattice,
     SpinStructure,
-    DualModeSet,
     InvalidLatticeError,
     SPHERE_CONSTANT_2D,
     closed_form_spectrum,
+    dual_modes,
     first_positive_eigenvalue,
     make_lattice,
     sphere_lambda_min,
-    spin_shift,
 )
 from .fields import SpinorField, l2_inner, l2_norm, lp_norm
 from .dirac import (

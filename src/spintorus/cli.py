@@ -206,11 +206,15 @@ def _equation_checks(cfg: RunConfig, sol: Solution) -> CheckReport:
 
 
 def _load_solution(path) -> Solution:
+    """The nonzero solution saved at path; any defect is a ConfigError naming the file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
-        return Solution.from_dict(data)
+        sol = Solution.from_dict(data)
+        if sol.max_abs() == 0.0:
+            raise ValueError("plus, minus: the zero spinor")
+        return sol
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"solution file {path}: {exc}") from exc
 
@@ -225,8 +229,6 @@ def _verified_immersion(cfg: RunConfig, sol: Solution):
 
 def cmd_surface(cfg: RunConfig, args) -> int:
     sol = _load_solution(args.solution)
-    if sol.max_abs() == 0.0:
-        raise ConfigError("solution file holds the zero spinor")
     imm, checks = _verified_immersion(cfg, sol)
     report = {"threshold": _solution_threshold(sol), **imm.summary(), "checks": checks.as_dict()}
     if not args.verify_only:

@@ -8,7 +8,7 @@ is stored through its untwisted coefficient functions
     u_pm(x) = exp(-2 pi i <delta, x>) phi_pm(x),
 
 which are honestly Gamma-periodic; the twist lives entirely in the Fourier
-shift delta (see lattice.spin_shift).  Pointwise norms are unaffected:
+shift delta (see lattice.dual_modes).  Pointwise norms are unaffected:
 |phi| = |u|.  Grid point (j, l) sits at x = (j/N) gamma1 + (l/N) gamma2.
 Both coefficient functions live in one contiguous complex (2, N, N) array
 `SpinorField.u`, plus component first (the order of the file format);
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DualModeSet, Lattice, SpinStructure, first_eigenmode
+from .lattice import Lattice, SpinStructure, dual_modes, first_eigenmode
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -156,13 +156,13 @@ def mode_index_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mode_vectors(lat: Lattice, spin: SpinStructure, n: int):
     """Shifted mode component arrays (xi_x, xi_y), fft2 index order."""
-    xi = DualModeSet(lat, spin).mode_vectors(*mode_index_grid(n))
+    xi = dual_modes(lat, spin, *mode_index_grid(n))
     return np.ascontiguousarray(xi[..., 0]), np.ascontiguousarray(xi[..., 1])
 
 
 def squared_twist_grid(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     """exp(2 pi i <2 delta, x>) sampled on the grid (for quadratic expressions)."""
-    t1, t2 = DualModeSet(lat, spin).pairings()
+    t1, t2 = spin.pairing_fractions()
     j = np.arange(n)
     # 2 delta is in Gamma*, so this is the plain Fourier mode with integer
     # pairings (2 t1, 2 t2).
@@ -192,8 +192,7 @@ def eigenvector_at_mode(
     lat: Lattice, spin: SpinStructure, m: int, k: int
 ) -> tuple[float, complex, complex]:
     """(2 pi |xi|, v_plus, v_minus) for the positive symbol eigenvalue at (m, k)."""
-    modes = DualModeSet(lat, spin)
-    xi = modes.mode_vectors(np.array(m), np.array(k))
+    xi = dual_modes(lat, spin, m, k)
     xc = complex(xi[0], xi[1])
     r = abs(xc)
     if r < 1e-14:
@@ -258,8 +257,8 @@ def parse_entry(data: dict, key: str, parse):
 
 
 def real_number(value) -> float:
-    """value as a float; anything but a real number (a str too) is a TypeError."""
-    if not isinstance(value, numbers.Real):
+    """value as a float; anything but a real number (a str or bool too) is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a real number, got {value!r}")
     return float(value)
 

@@ -98,13 +98,9 @@ class FqState:
 
 
 def fq_state(phi: SpinorField, q: float) -> FqState:
-    return _state_from(phi, apply_dirac(phi), q)
-
-
-def _state_from(phi: SpinorField, dphi: SpinorField, q: float) -> FqState:
-    """The state of phi given dphi = D phi: no Dirac application."""
     if q < Q_CRITICAL - 1e-12 or q > 2.0 + 1e-12:
         raise ValueError("q must lie in [4/3, 2]")
+    dphi = apply_dirac(phi)
     den = lp_norm(dphi, q)
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("||D phi||_q vanishes")
@@ -118,11 +114,11 @@ def functional_Fq(phi: SpinorField, q: float) -> float:
 
 def grad_Fq(phi: SpinorField, q: float) -> SpinorField:
     """L^2-gradient representative G with Re<G, psi> = dF_q(phi)(psi)."""
-    return _gradient(phi, fq_state(phi, q))[0]
+    return _gradient(phi, fq_state(phi, q))
 
 
-def _gradient(phi: SpinorField, state: FqState) -> tuple[SpinorField, np.ndarray]:
-    """grad F_q at phi and its spectrum, from the state's D phi: one fft2, one ifft2.
+def _gradient(phi: SpinorField, state: FqState) -> SpinorField:
+    """grad F_q at phi from the state's D phi: one fft2, one ifft2.
 
     grad F_q = (2/den^2) D w with w = phi - rho |D phi|^{q-2} D phi.
     """
@@ -131,7 +127,7 @@ def _gradient(phi: SpinorField, state: FqState) -> tuple[SpinorField, np.ndarray
     w_hat = np.fft.fft2(phi.u - factor * dphi.u)
     dw_hat = dirac_symbol(phi.lat, phi.spin, phi.n_grid) * w_hat[::-1]
     scale = 2.0 / state.dphi_norm_q**2
-    return scale * phi.with_u(np.fft.ifft2(dw_hat)), scale * dw_hat
+    return scale * phi.with_u(np.fft.ifft2(dw_hat))
 
 
 @dataclass
@@ -185,7 +181,7 @@ def maximize_Fq(
     def fresh(phi: SpinorField) -> tuple[FqState, float]:
         """The state and |grad| of phi recomputed from D phi, as fq_state and grad_Fq give them."""
         state = fq_state(phi, q)
-        return state, l2_norm(_gradient(phi, state)[0])
+        return state, l2_norm(_gradient(phi, state))
 
     # The symbol's zero modes span ker D (trivial spin only); d never has them.
     phi_hat = np.where(modulus > 0.0, np.fft.fft2(init.u), 0.0)

@@ -47,7 +47,8 @@ class Lattice:
     def __post_init__(self):
         pairs = (self.gamma1, self.gamma2)
         if not all(isinstance(g, tuple) and len(g) == 2 for g in pairs) or not all(
-            isinstance(c, numbers.Real) and math.isfinite(c) for c in self.gamma1 + self.gamma2
+            isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c)
+            for c in self.gamma1 + self.gamma2
         ):
             raise InvalidLatticeError(
                 "generators must be pairs of finite real numbers, "
@@ -125,46 +126,19 @@ def make_lattice(v1, v2) -> Lattice:
     return Lattice(v1, v2)
 
 
-def spin_shift(lat: Lattice, spin: SpinStructure) -> np.ndarray:
-    """Dual shift delta with <delta, gamma_i> = 0 for eps_i = +1 and 1/2 for -1."""
+def dual_modes(lat: Lattice, spin: SpinStructure, ms, ks) -> np.ndarray:
+    """Shifted dual modes xi = (m + t1) gamma1* + (k + t2) gamma2* as R^2 vectors
+    for integer index arrays ms, ks (broadcast together).
+
+    t_i in {0, 1/2} is the canonical pairing of the shift with gamma_i
+    (`SpinStructure.pairing_fractions`), so exp(2 pi i <xi, gamma_i>) = eps_i
+    for every integer (m, k); dual_modes(lat, spin, 0, 0) is the shift delta.
+    """
     t1, t2 = spin.pairing_fractions()
     d1, d2 = lat.dual_basis()
-    return float(t1) * d1 + float(t2) * d2
-
-
-@dataclass(frozen=True)
-class DualModeSet:
-    """Shifted dual modes xi = (m + t1) gamma1* + (k + t2) gamma2*.
-
-    t_i in {0, 1/2} is the canonical pairing of the shift with gamma_i, so
-    exp(2 pi i <xi, gamma_i>) = eps_i holds exactly for every integer (m, k).
-    """
-
-    lat: Lattice
-    spin: SpinStructure
-
-    def pairings(self) -> tuple[float, float]:
-        t1, t2 = self.spin.pairing_fractions()
-        return float(t1), float(t2)
-
-    def mode_vectors(self, ms: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """R^2 vectors xi for integer index arrays ms, ks (broadcast together)."""
-        t1, t2 = self.pairings()
-        d1, d2 = self.lat.dual_basis()
-        a1 = np.asarray(ms, dtype=float) + t1
-        a2 = np.asarray(ks, dtype=float) + t2
-        return np.stack(
-            [a1 * d1[0] + a2 * d2[0], a1 * d1[1] + a2 * d2[1]], axis=-1
-        )
-
-    def pairing_exact(self, m: int, k: int, generator: int) -> Fraction:
-        """<xi_{m,k}, gamma_i> as an exact rational number."""
-        t1, t2 = self.spin.pairing_fractions()
-        if generator == 1:
-            return m + t1
-        if generator == 2:
-            return k + t2
-        raise ValueError("generator index must be 1 or 2")
+    a1 = np.asarray(ms, dtype=float) + float(t1)
+    a2 = np.asarray(ks, dtype=float) + float(t2)
+    return np.stack([a1 * d1[0] + a2 * d2[0], a1 * d1[1] + a2 * d2[1]], axis=-1)
 
 
 def closed_form_spectrum(
@@ -197,13 +171,12 @@ def _mode_windows(lat: Lattice, spin: SpinStructure):
     For |xi| < h / max|gamma_i|: |m + t1| = |<xi, gamma1>| <= |xi| |gamma1| < h,
     so |m| < h + 1/2, and |m| <= h as m and h are integers; likewise for k.
     """
-    modes = DualModeSet(lat, spin)
     gen_norm = max(math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
     half_width = 4
     while half_width <= MAX_HALF_WIDTH:
         r = np.arange(-half_width, half_width + 1)
         mm, kk = np.meshgrid(r, r, indexing="ij")
-        xi = modes.mode_vectors(mm, kk)
+        xi = dual_modes(lat, spin, mm, kk)
         yield mm, kk, np.hypot(xi[..., 0], xi[..., 1]), half_width / gen_norm
         half_width *= 2
     raise InvalidLatticeError(
@@ -235,7 +208,7 @@ def _aggregate_levels(radii: np.ndarray) -> list[tuple[float, int]]:
 
 def first_positive_eigenvalue(lat: Lattice, spin: SpinStructure) -> float:
     """lambda_1^+ = 2 pi |xi| over the shortest nonzero shifted dual mode."""
-    xi = DualModeSet(lat, spin).mode_vectors(*first_eigenmode(lat, spin))
+    xi = dual_modes(lat, spin, *first_eigenmode(lat, spin))
     return 2.0 * math.pi * float(np.hypot(xi[0], xi[1]))
 
 

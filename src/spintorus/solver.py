@@ -120,18 +120,20 @@ class Solution:
     def from_dict(cls, data: dict) -> "Solution":
         """Solution of a container; a wrong format tag, payload length, non-finite
         plus, minus or lambda, p outside [2, 4] or any other malformed entry
-        raises a ValueError that names it.  trace and meta may be left out."""
+        raises a ValueError that names it.  trace and meta, a JSON array and a JSON
+        object, may be left out."""
         phi = spinor_from_dict(data, fmt=SOLUTION_FORMAT)
-        parsers = {"lambda": real_number, "p": real_number, "residual": real_number,
-                   "norm_p": real_number, "trace": list, "meta": dict}
         data = {"trace": [], "meta": {}, **data}
-        lam, p, residual, norm_p, trace, meta = (
-            parse_entry(data, key, parse) for key, parse in parsers.items()
+        lam, p, residual, norm_p = (
+            parse_entry(data, key, real_number) for key in ("lambda", "p", "residual", "norm_p")
         )
+        for key, kind, name in (("trace", list, "array"), ("meta", dict, "object")):
+            if not isinstance(data[key], kind):
+                raise ValueError(f"{key}: must be a JSON {name}, got {data[key]!r}")
         if not math.isfinite(lam):
             raise ValueError(f"lambda: must be finite, got {lam}")
         _check_exponent(p)
-        return cls(phi, lam, p, residual, norm_p, trace, meta)
+        return cls(phi, lam, p, residual, norm_p, data["trace"], data["meta"])
 
 
 @dataclass(frozen=True)

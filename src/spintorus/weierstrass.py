@@ -317,7 +317,10 @@ def count_zeros(phi: SpinorField, lam: float, zero_tol: float = 1e-6) -> ZeroCou
         order = max(abs(w_plus), abs(w_minus))
         if order >= 1:
             zeros.append((center[0], center[1], order))
-    bound = lam**2 / (4.0 * np.pi)
+    try:
+        bound = lam**2 / (4.0 * np.pi)
+    except OverflowError:  # a finite lambda whose square overflows a double
+        bound = math.inf
     return ZeroCount(zeros, bound, ok=len(zeros) <= bound)
 
 

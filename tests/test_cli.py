@@ -231,7 +231,8 @@ def test_readme_commands_run_with_scipy_unimportable(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_surface_rejects_zero_spinor(tmp_path):
+@pytest.mark.parametrize("command", ["check --solution", "surface --solution", "solve --resume"])
+def test_surface_rejects_zero_spinor(tmp_path, command):
     from spintorus.fields import zero_field
     from spintorus.lattice import SpinStructure, make_lattice
     from spintorus.solver import Solution
@@ -242,8 +243,9 @@ def test_surface_rejects_zero_spinor(tmp_path):
     )
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(sol.to_dict()))
-    result = run_cli("surface", "--solution", str(path), "--out", str(tmp_path), check=False)
+    result = run_cli(*command.split(), str(path), "--out", str(tmp_path), check=False)
     assert result.returncode == 2
+    assert "zero.json: plus, minus:" in result.stderr
 
 
 def test_config_file_ini_and_json(tmp_path):
@@ -480,11 +482,14 @@ HEADER_DEFECTS = {
     "lattice-string": ("lattice", lambda data: data["lattice"].update(gamma1=["a", 0])),
     "lattice-null": ("lattice", lambda data: data["lattice"].update(gamma1=None)),
     "lattice-3-entries": ("lattice", lambda data: data["lattice"].update(gamma1=[1, 0, 0])),
+    "lattice-bool": ("lattice", lambda data: data["lattice"].update(gamma1=[1, False])),
+    "lambda-bool": ("lambda", lambda data: data.update({"lambda": True})),
     "spin": ("spin", lambda data: data["spin"].update(eps1=3)),
     "n_grid": ("n_grid", lambda data: data.update(n_grid="abc")),
     "residual": ("residual", lambda data: data.update(residual="0.0")),
     "norm_p": ("norm_p", lambda data: data.update(norm_p="x")),
     "trace": ("trace", lambda data: data.update(trace=5)),
+    "trace-string": ("trace", lambda data: data.update(trace="x")),
     "meta": ("meta", lambda data: data.update(meta=5)),
     "plus-int": ("plus", lambda data: data.update(plus=5)),
 }
@@ -510,6 +515,23 @@ def test_malformed_header_exits_2_naming_field(tmp_path, capsys, command, defect
     code = main([command, "--solution", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert f"s.json: {HEADER_DEFECTS[defect][0]}:" in capsys.readouterr().err
+
+
+def test_check_of_lambda_whose_square_overflows_fails_with_a_report(tmp_path):
+    from spintorus.cli import EXIT_CHECK, main
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    data = constant_solution(make_lattice((1, 0), (0, 2)), SpinStructure(1, -1), 8).to_dict()
+    data["lambda"] = 1e200
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["check", "--solution", str(path), "--out", str(out)]) == EXIT_CHECK
+    report = json.loads((out / "check_report.json").read_text())
+    nodal = next(c for c in report["checks"]["checks"] if c["name"] == "nodal bound")
+    assert not report["checks"]["passed"] and nodal["note"] == "bound inf"
 
 
 def test_resume_of_three_entry_generator_exits_2_naming_lattice(tmp_path, capsys):

@@ -7,13 +7,14 @@ from spintorus.fields import (
     l2_norm,
     load_spinor,
     lp_norm,
+    mode_index_grid,
     pure_mode_field,
     random_band_limited,
     save_spinor,
     spinor_from_dict,
     spinor_to_dict,
 )
-from spintorus.lattice import DualModeSet, SpinStructure, make_lattice
+from spintorus.lattice import SpinStructure, dual_modes, make_lattice
 
 SQ = make_lattice((1, 0), (0, 1))
 NT = SpinStructure(1, -1)
@@ -109,10 +110,10 @@ def test_mode_pairing_invariant_on_grid_modes():
     n = 8
     spin = SpinStructure(-1, -1)
     lat = make_lattice((1, 0), (0.4, 1.2))
-    modes = DualModeSet(lat, spin)
-    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    for m in idx:
-        for k in idx:
-            for gen, eps in ((1, spin.eps1), (2, spin.eps2)):
-                pairing = modes.pairing_exact(int(m), int(k), gen)
-                assert (pairing % 1 == 0) == (eps == 1)
+    t1, t2 = spin.pairing_fractions()
+    mm, kk = mode_index_grid(n)
+    xi = dual_modes(lat, spin, mm, kk)
+    for gamma, pairing, eps in ((lat.gamma1, mm + float(t1), spin.eps1),
+                                (lat.gamma2, kk + float(t2), spin.eps2)):
+        assert np.allclose(xi @ np.array(gamma), pairing, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.exp(2j * np.pi * (xi @ np.array(gamma))), eps, rtol=0.0, atol=1e-12)

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from spintorus.lattice import (
-    DualModeSet,
     InvalidLatticeError,
     Lattice,
     SpinStructure,
     closed_form_spectrum,
+    dual_modes,
     first_eigenmode,
     first_positive_eigenvalue,
     make_lattice,
     sphere_lambda_min,
-    spin_shift,
 )
 
 NONTRIVIAL = SpinStructure(1, -1)
@@ -42,31 +41,36 @@ def test_make_lattice_fixes_orientation():
     assert lat.gamma1 == (1.0, 0.0)
 
 
-def test_spin_shift_trivial_is_zero():
+def test_dual_modes_shift_trivial_is_zero():
     lat = make_lattice((1, 0), (0, 1))
-    assert np.allclose(spin_shift(lat, SpinStructure.trivial()), 0.0)
+    assert np.allclose(dual_modes(lat, SpinStructure.trivial(), 0, 0), 0.0)
 
 
 @pytest.mark.parametrize("y", [0.7, 1.0, 2.0])
-def test_spin_shift_rectangle(y):
+def test_dual_modes_shift_rectangle(y):
     lat = make_lattice((1, 0), (0, y))
-    delta = spin_shift(lat, NONTRIVIAL)
+    delta = dual_modes(lat, NONTRIVIAL, 0, 0)
     assert delta == pytest.approx([0.0, 1.0 / (2.0 * y)])
 
 
-def test_spin_shift_square_both_twisted():
+def test_dual_modes_shift_square_both_twisted():
     lat = make_lattice((1, 0), (0, 1))
-    delta = spin_shift(lat, SpinStructure(-1, -1))
+    delta = dual_modes(lat, SpinStructure(-1, -1), 0, 0)
     assert delta == pytest.approx([0.5, 0.5])
 
 
 def test_mode_pairings_exact_rational():
-    modes = DualModeSet(make_lattice((1, 0), (0.3, 1.4)), SpinStructure(-1, 1))
-    for m, k in [(0, 0), (3, -2), (-5, 7)]:
-        p1 = modes.pairing_exact(m, k, 1)
-        p2 = modes.pairing_exact(m, k, 2)
-        # exp(2 pi i <xi, gamma_i>) = eps_i exactly
-        assert p1 % 1 == Fraction(1, 2) and p2 % 1 == 0
+    lat, spin = make_lattice((1, 0), (0.3, 1.4)), SpinStructure(-1, 1)
+    t1, t2 = spin.pairing_fractions()
+    assert t1 % 1 == Fraction(1, 2) and t2 % 1 == 0
+    idx = np.fft.fftfreq(8, d=1.0 / 8)
+    mm, kk = np.meshgrid(idx, idx, indexing="ij")
+    xi = dual_modes(lat, spin, mm, kk)
+    # <xi_{m,k}, gamma_i> = m + t_i, so exp(2 pi i <xi, gamma_i>) = eps_i
+    for gamma, pairing, eps in ((lat.gamma1, mm + float(t1), spin.eps1),
+                                (lat.gamma2, kk + float(t2), spin.eps2)):
+        assert np.allclose(xi @ np.array(gamma), pairing, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.exp(2j * np.pi * (xi @ np.array(gamma))), eps, rtol=0.0, atol=1e-12)
 
 
 def test_spectrum_trivial_square():
