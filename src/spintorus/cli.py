@@ -15,10 +15,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, RunConfig, config_from_dict, load_config
 from .dirac import dirac_spectrum_numeric, kernel_dimension, DENSE_GRID_CAP
-from .fields import l2_norm, lp_norm
+from .fields import l2_norm, lp_norm, pointwise_norm
 from .functional import (
     DegenerateFieldError,
     IterationLimitError,
@@ -103,8 +105,9 @@ def _write_report(cfg: RunConfig, command: str, body: dict, lines, passed: bool 
 
 
 def _solution_threshold(sol: Solution) -> dict:
-    """Threshold verdict of lambda * sqrt(area) on the solution's own torus."""
-    return threshold_verdict(sol.lam * math.sqrt(sol.phi.lat.area))
+    """Threshold verdict of lambda * area^(2/p - 1/2) on the solution's own torus,
+    the scale invariant at every p: lambda at p = 4, lambda * sqrt(area) at p = 2."""
+    return threshold_verdict(sol.lam * sol.phi.lat.area ** (2.0 / sol.p - 0.5))
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
@@ -149,7 +152,7 @@ def cmd_mu_curve(cfg: RunConfig, args) -> int:
 
 
 def _solution_report_block(sol: Solution) -> dict:
-    dens = sol.phi.pointwise_norm() ** 4
+    dens = pointwise_norm(sol.phi.u) ** 4
     return {
         "lambda": sol.lam,
         "p": sol.p,
@@ -195,11 +198,13 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 def _equation_checks(cfg: RunConfig, sol: Solution) -> CheckReport:
     """Residual, ||phi||_p and lambda consistency, recomputed from phi, lambda, p."""
     tol_solve = cfg.schedule().solve_tolerance(sol.phi.n_grid)
-    residual = l2_norm(residual_field(sol.phi, sol.lam, sol.p))
+    with np.errstate(over="ignore"):  # |residual|^2 overflows at a lambda near the float limit
+        residual = l2_norm(residual_field(sol.phi, sol.lam, sol.p))
     norm_gap = abs(lp_norm(sol.phi, sol.p) - 1.0)
     lam_gap = abs(lambda_consistency(sol) - sol.lam)
     checks = CheckReport()
-    checks.add("residual", residual, tol_solve, residual <= tol_solve)
+    checks.add("residual", residual, tol_solve, residual <= tol_solve,
+               note="" if math.isfinite(residual) else f"not finite at lambda = {sol.lam:g}")
     checks.add("norm_p deviation", norm_gap, cfg.tol_norm, norm_gap <= cfg.tol_norm)
     checks.add("lambda consistency", lam_gap, 2.0 * tol_solve, lam_gap <= 2.0 * tol_solve)
     return checks

@@ -64,7 +64,10 @@ class RunConfig:
         return make_lattice(self.v1, self.v2)
 
     def spin(self) -> SpinStructure:
-        return SpinStructure(self.eps1, self.eps2)
+        """The holonomy signs, swapped along with v1, v2 when make_lattice swaps them."""
+        spin = SpinStructure(self.eps1, self.eps2)  # a bad sign is named by its own key
+        swapped = self.lattice().gamma1 != tuple(map(float, self.v1))
+        return SpinStructure(spin.eps2, spin.eps1) if swapped else spin
 
     def schedule(self) -> ContinuationSchedule:
         return ContinuationSchedule(

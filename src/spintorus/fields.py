@@ -11,8 +11,7 @@ which are honestly Gamma-periodic; the twist lives entirely in the Fourier
 shift delta (see lattice.dual_modes).  Pointwise norms are unaffected:
 |phi| = |u|.  Grid point (j, l) sits at x = (j/N) gamma1 + (l/N) gamma2.
 Both coefficient functions live in one contiguous complex (2, N, N) array
-`SpinorField.u`, plus component first (the order of the file format);
-`plus` and `minus` are views of u[0] and u[1].
+`SpinorField.u`, plus component first (the order of the file format).
 
 Fourier convention: the field layer uses numpy's default fft2/ifft2 over
 the last two axes, so u[j, l] = sum_{m,k} d[m,k] exp(2 pi i (m j + k l)/N)
@@ -35,7 +34,6 @@ row-major, plus component first.
 from __future__ import annotations
 
 import base64
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -72,14 +70,6 @@ class SpinorField:
         object.__setattr__(self, "u", u)
 
     @property
-    def plus(self) -> np.ndarray:
-        return self.u[0]
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.u[1]
-
-    @property
     def n_grid(self) -> int:
         return self.u.shape[1]
 
@@ -97,10 +87,6 @@ class SpinorField:
         return self.with_u(c * self.u)
 
     __rmul__ = __mul__
-
-    def pointwise_norm(self) -> np.ndarray:
-        """|phi| on the grid (twist-independent)."""
-        return pointwise_norm(self.u)
 
 
 def _check_grid_size(n) -> int:
@@ -133,14 +119,14 @@ def lp_norm(phi: SpinorField, p: float) -> float:
     if p < 1.0:
         raise ValueError("p must be >= 1")
     w = quadrature_weight(phi)
-    dens = phi.pointwise_norm() ** p
+    dens = pointwise_norm(phi.u) ** p
     return float((w * dens.sum()) ** (1.0 / p))
 
 
 def l2_inner(a: SpinorField, b: SpinorField) -> complex:
     """<a, b>_{L^2}, antilinear in the first slot."""
     w = quadrature_weight(a)
-    return complex(w * (np.vdot(a.plus, b.plus) + np.vdot(a.minus, b.minus)))
+    return complex(w * (np.vdot(a.u[0], b.u[0]) + np.vdot(a.u[1], b.u[1])))
 
 
 def l2_norm(phi: SpinorField) -> float:
@@ -167,10 +153,6 @@ def squared_twist_grid(lat: Lattice, spin: SpinStructure, n: int) -> np.ndarray:
     # 2 delta is in Gamma*, so this is the plain Fourier mode with integer
     # pairings (2 t1, 2 t2).
     return np.exp(2j * np.pi * (np.add.outer(2.0 * t1 * j, 2.0 * t2 * j)) / n)
-
-
-def zero_field(lat: Lattice, spin: SpinStructure, n: int) -> SpinorField:
-    return SpinorField.from_array(lat, spin, np.zeros((2, n, n), dtype=complex))
 
 
 def pure_mode_field(
@@ -270,8 +252,8 @@ def spinor_to_dict(phi: SpinorField) -> dict:
         "lattice": {"gamma1": list(phi.lat.gamma1), "gamma2": list(phi.lat.gamma2)},
         "spin": {"eps1": phi.spin.eps1, "eps2": phi.spin.eps2},
         "n_grid": phi.n_grid,
-        "plus": _encode(phi.plus),
-        "minus": _encode(phi.minus),
+        "plus": _encode(phi.u[0]),
+        "minus": _encode(phi.u[1]),
     }
 
 
@@ -285,13 +267,3 @@ def spinor_from_dict(data: dict, fmt: str = SPINOR_FORMAT) -> SpinorField:
     n = parse_entry(data, "n_grid", _check_grid_size)
     payloads = [parse_entry(data, key, lambda text: _decode(text, n)) for key in ("plus", "minus")]
     return SpinorField.from_array(lat, spin, np.stack(payloads))
-
-
-def save_spinor(phi: SpinorField, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spinor_to_dict(phi), fh, sort_keys=True, indent=1)
-
-
-def load_spinor(path) -> SpinorField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spinor_from_dict(json.load(fh))

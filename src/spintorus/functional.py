@@ -85,49 +85,34 @@ def _checked_numerator(num: complex) -> float:
     return num.real
 
 
-@dataclass(frozen=True)
-class FqState:
-    """Cached evaluation data of F_q at one field, including D phi."""
-
-    q: float
-    p: float
-    value: float
-    rho: float
-    dphi_norm_q: float
-    dphi: SpinorField
-
-
-def fq_state(phi: SpinorField, q: float) -> FqState:
+def _fq(phi: SpinorField, q: float) -> tuple[float, SpinorField, float]:
+    """F_q(phi), D phi and ||D phi||_q."""
     if q < Q_CRITICAL - 1e-12 or q > 2.0 + 1e-12:
         raise ValueError("q must lie in [4/3, 2]")
     dphi = apply_dirac(phi)
     den = lp_norm(dphi, q)
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("||D phi||_q vanishes")
-    value = _checked_numerator(l2_inner(dphi, phi)) / den**2
-    return FqState(q, conjugate_exponent(q), value, value * den ** (2.0 - q), den, dphi)
+    return _checked_numerator(l2_inner(dphi, phi)) / den**2, dphi, den
+
+
+def _fq_and_grad(phi: SpinorField, q: float) -> tuple[float, SpinorField, SpinorField]:
+    """F_q(phi), D phi and grad F_q(phi) = (2/den^2) D w, w = phi - rho |D phi|^{q-2} D phi,
+    rho = F_q den^{2-q}: one apply_dirac, then one fft2 and one ifft2."""
+    value, dphi, den = _fq(phi, q)
+    rho = value * den ** (2.0 - q)
+    w_hat = np.fft.fft2(phi.u - rho * pointwise_power(pointwise_norm(dphi.u), q - 2.0) * dphi.u)
+    dw_hat = dirac_symbol(phi.lat, phi.spin, phi.n_grid) * w_hat[::-1]
+    return value, dphi, (2.0 / den**2) * phi.with_u(np.fft.ifft2(dw_hat))
 
 
 def functional_Fq(phi: SpinorField, q: float) -> float:
-    return fq_state(phi, q).value
+    return _fq(phi, q)[0]
 
 
 def grad_Fq(phi: SpinorField, q: float) -> SpinorField:
     """L^2-gradient representative G with Re<G, psi> = dF_q(phi)(psi)."""
-    return _gradient(phi, fq_state(phi, q))
-
-
-def _gradient(phi: SpinorField, state: FqState) -> SpinorField:
-    """grad F_q at phi from the state's D phi: one fft2, one ifft2.
-
-    grad F_q = (2/den^2) D w with w = phi - rho |D phi|^{q-2} D phi.
-    """
-    dphi = state.dphi
-    factor = state.rho * pointwise_power(dphi.pointwise_norm(), state.q - 2.0)
-    w_hat = np.fft.fft2(phi.u - factor * dphi.u)
-    dw_hat = dirac_symbol(phi.lat, phi.spin, phi.n_grid) * w_hat[::-1]
-    scale = 2.0 / state.dphi_norm_q**2
-    return scale * phi.with_u(np.fft.ifft2(dw_hat))
+    return _fq_and_grad(phi, q)[2]
 
 
 @dataclass
@@ -178,10 +163,11 @@ def maximize_Fq(
         w_hat = phi_hat - np.fft.fft2(num / nq * pointwise_power(mod, q - 2.0) * dphi)
         return num, nq, mod, 2.0 / nq ** (2.0 / q) * (symbol * w_hat[::-1])
 
-    def fresh(phi: SpinorField) -> tuple[FqState, float]:
-        """The state and |grad| of phi recomputed from D phi, as fq_state and grad_Fq give them."""
-        state = fq_state(phi, q)
-        return state, l2_norm(_gradient(phi, state))
+    def fresh(phi_hat: np.ndarray):
+        """The field of spectrum phi_hat, and its F_q, D phi and |grad| as grad_Fq gives them."""
+        phi = init.with_u(np.fft.ifft2(phi_hat))
+        value, dphi, grad = _fq_and_grad(phi, q)
+        return phi, value, dphi.u, l2_norm(grad)
 
     # The symbol's zero modes span ker D (trivial spin only); d never has them.
     phi_hat = np.where(modulus > 0.0, np.fft.fft2(init.u), 0.0)
@@ -192,13 +178,12 @@ def maximize_Fq(
     phi_hat, dphi = phi_hat / den, dphi / den
     num, nq, mod, grad_hat = carried(phi_hat, dphi)
     history, s = [num / nq ** (2.0 / q)], STEP_INIT  # s: the step, phi -> phi + s d
-    for it in range(opts.max_iter):
+    grad_norm = math.inf  # the fresh |grad|: below tol_grad only when the loop stops on it
+    for _ in range(opts.max_iter):
         if math.sqrt(weight * np.vdot(grad_hat, grad_hat).real) < tol_grad:
-            phi = init.with_u(np.fft.ifft2(phi_hat))
-            state, grad_norm = fresh(phi)
+            phi, mu, dphi, grad_norm = fresh(phi_hat)
             if grad_norm < tol_grad:
-                return MaximizeResult(phi, state.value, it, grad_norm, True, history)
-            dphi = state.dphi.u
+                break
             num, nq, mod, grad_hat = carried(phi_hat, dphi)
         dir_hat = inv_modulus2 * grad_hat
         slope = weight * np.vdot(grad_hat, dir_hat).real
@@ -231,13 +216,13 @@ def maximize_Fq(
         else:
             # No admissible increase above roundoff: stationary on this grid.
             break
-    phi = init.with_u(np.fft.ifft2(phi_hat))
-    state, grad_norm = fresh(phi)
-    if grad_norm < tol_grad:
-        return MaximizeResult(phi, state.value, len(history) - 1, grad_norm, True, history)
+    if not grad_norm < tol_grad:
+        phi, mu, _, grad_norm = fresh(phi_hat)
+    result = MaximizeResult(phi, mu, len(history) - 1, grad_norm, grad_norm < tol_grad, history)
+    if result.converged:
+        return result
     raise IterationLimitError(
-        f"no convergence (|grad| = {grad_norm:.3e}, tol {tol_grad:.3e})",
-        MaximizeResult(phi, state.value, len(history) - 1, grad_norm, False, history),
+        f"no convergence (|grad| = {grad_norm:.3e}, tol {tol_grad:.3e})", result
     )
 
 
@@ -256,7 +241,7 @@ def normalize_euler_lagrange(
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("maximizer has D phi = 0")
     dphi = (1.0 / den) * dphi
-    w = dphi.pointwise_norm()
+    w = pointwise_norm(dphi.u)
     factor = pointwise_power(w, q - 2.0)
     zero_count = int(np.count_nonzero(w == 0.0))
     phi = phi_max.with_u(factor * dphi.u)

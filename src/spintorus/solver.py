@@ -94,10 +94,10 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
     def min_abs(self) -> float:
-        return float(self.phi.pointwise_norm().min())
+        return float(pointwise_norm(self.phi.u).min())
 
     def max_abs(self) -> float:
-        return float(self.phi.pointwise_norm().max())
+        return float(pointwise_norm(self.phi.u).max())
 
     def to_dict(self) -> dict:
         data = spinor_to_dict(self.phi)
@@ -165,7 +165,7 @@ def _check_exponent(p: float) -> None:
 def residual_field(phi: SpinorField, lam: float, p: float) -> SpinorField:
     """D phi - lambda |phi|^{p-2} phi, pointwise."""
     _check_exponent(p)
-    w = pointwise_power(phi.pointwise_norm(), p - 2.0)
+    w = pointwise_power(pointwise_norm(phi.u), p - 2.0)
     return phi.with_u(apply_dirac(phi).u - lam * w * phi.u)
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpinorField, mode_index_grid, squared_twist_grid
+from .fields import SpinorField, mode_index_grid, pointwise_norm, squared_twist_grid
 from .lattice import Lattice
 from .report import CheckReport
 
@@ -127,9 +127,9 @@ class Immersion:
 
 def build_alpha(phi: SpinorField) -> OneFormField:
     tw = squared_twist_grid(phi.lat, phi.spin, phi.n_grid)
-    p2 = phi.plus**2 * tw
-    m2 = np.conj(phi.minus) ** 2 * np.conj(tw)
-    a = np.stack([p2 + m2, 1j * (p2 - m2), 2j * phi.plus * np.conj(phi.minus)])
+    p2 = phi.u[0] ** 2 * tw
+    m2 = np.conj(phi.u[1]) ** 2 * np.conj(tw)
+    a = np.stack([p2 + m2, 1j * (p2 - m2), 2j * phi.u[0] * np.conj(phi.u[1])])
     return OneFormField(phi.lat, a)
 
 
@@ -308,12 +308,12 @@ def count_zeros(phi: SpinorField, lam: float, zero_tol: float = 1e-6) -> ZeroCou
     """
     n = phi.n_grid
     zeros = []
-    for center, comp in _zero_clusters(phi.pointwise_norm(), zero_tol):
+    for center, comp in _zero_clusters(pointwise_norm(phi.u), zero_tol):
         extent = max(max(abs(j - center[0]), abs(l - center[1])) for j, l in comp)
         radius = min(max(2, extent + 2), n // 2 - 1)
         ring = _ring(center, radius, n)
-        w_plus = _winding(np.array([phi.plus[c] for c in ring]))
-        w_minus = _winding(np.array([phi.minus[c] for c in ring]))
+        w_plus = _winding(np.array([phi.u[0][c] for c in ring]))
+        w_minus = _winding(np.array([phi.u[1][c] for c in ring]))
         order = max(abs(w_plus), abs(w_minus))
         if order >= 1:
             zeros.append((center[0], center[1], order))
@@ -418,7 +418,7 @@ def verify_immersion(
     checks = CheckReport()
 
     jac = _spectral_jacobian(imm)
-    target = phi.pointwise_norm() ** 2
+    target = pointwise_norm(phi.u) ** 2
     top = float(target.max())
     s1 = np.linalg.norm(jac[..., 0], axis=-1)
     s2 = np.linalg.norm(jac[..., 1], axis=-1)

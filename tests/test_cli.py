@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -233,12 +234,14 @@ def test_readme_commands_run_with_scipy_unimportable(tmp_path):
 
 @pytest.mark.parametrize("command", ["check --solution", "surface --solution", "solve --resume"])
 def test_surface_rejects_zero_spinor(tmp_path, command):
-    from spintorus.fields import zero_field
+    from spintorus.fields import SpinorField
     from spintorus.lattice import SpinStructure, make_lattice
     from spintorus.solver import Solution
 
     sol = Solution(
-        phi=zero_field(make_lattice((1, 0), (0, 1)), SpinStructure(1, -1), 8),
+        phi=SpinorField.from_array(
+            make_lattice((1, 0), (0, 1)), SpinStructure(1, -1), np.zeros((2, 8, 8), complex)
+        ),
         lam=1.0, p=4.0, residual=0.0, norm_p=0.0,
     )
     path = tmp_path / "zero.json"
@@ -527,11 +530,48 @@ def test_check_of_lambda_whose_square_overflows_fails_with_a_report(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["check", "--solution", str(path), "--out", str(out)]) == EXIT_CHECK
     report = json.loads((out / "check_report.json").read_text())
-    nodal = next(c for c in report["checks"]["checks"] if c["name"] == "nodal bound")
-    assert not report["checks"]["passed"] and nodal["note"] == "bound inf"
+    items = {c["name"]: c for c in report["checks"]["checks"]}
+    assert not report["checks"]["passed"] and items["nodal bound"]["note"] == "bound inf"
+    assert "lambda" in items["residual"]["note"] and not items["residual"]["passed"]
+
+
+@pytest.mark.parametrize("command", ["check --solution", "surface --solution", "solve --resume"])
+def test_solution_verdict_compares_the_scale_invariant_lambda(tmp_path, command):
+    """At p = 4 the solved lambda is already scale invariant: a torus of area 4
+    reports its lambda, pi, below 2 sqrt(pi), as `spectrum` does for it."""
+    from spintorus.cli import main
+    from spintorus.lattice import SpinStructure, make_lattice
+    from spintorus.solver import constant_solution
+
+    sol = constant_solution(make_lattice((2, 0), (0, 2)), SpinStructure(1, -1), 16)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sol.to_dict()))
+    out = tmp_path / "out"
+    assert main([*command.split(), str(path), "--out", str(out)]) == 0
+    name = command.split()[0]
+    report = json.loads((out / f"{name}_report.json").read_text())
+    lam = report["solution"]["lambda"] if name == "solve" else sol.lam
+    assert report["threshold"]["lambda_sqrt_area"] == lam == pytest.approx(math.pi, rel=1e-9)
+    assert report["threshold"]["below_threshold"] is True
+
+
+@pytest.mark.parametrize("v1, v2", [("1 0", "0 2"), ("1 0", "0.3 1.4"), ("0.8 0.2", "-0.5 1.7")])
+@pytest.mark.parametrize("eps1, eps2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_swapped_generators_carry_their_holonomy_signs(tmp_path, v1, v2, eps1, eps2):
+    from spintorus.cli import main
+
+    def numbers(*argv):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert main(["spectrum", "--grid", "8", *argv, "--out", str(out)]) == 0
+        report = json.loads((out / "spectrum_report.json").read_text())
+        return report["spectrum"], report["numeric"], report["threshold"]
+
+    ordered = numbers("--v1", v1, "--v2", v2, "--eps", f"{eps1:+d} {eps2:+d}")
+    assert numbers("--v1", v2, "--v2", v1, "--eps", f"{eps2:+d} {eps1:+d}") == ordered
 
 
 def test_resume_of_three_entry_generator_exits_2_naming_lattice(tmp_path, capsys):

@@ -19,7 +19,6 @@ from spintorus.functional import (
     IterationLimitError,
     MaximizeOptions,
     functional_Fq,
-    fq_state,
     grad_Fq,
     maximize_Fq,
     mu_curve,
@@ -170,7 +169,7 @@ def test_conformal_invariance_under_homothety(rng):
     phi = random_band_limited(SQ, NT, 12, rng)
     c = 1.7
     scaled_lat = SQ.scaled(c)
-    scaled = SpinorField(scaled_lat, NT, phi.plus / math.sqrt(c), phi.minus / math.sqrt(c))
+    scaled = SpinorField(scaled_lat, NT, phi.u[0] / math.sqrt(c), phi.u[1] / math.sqrt(c))
     assert functional_Fq(scaled, q) == pytest.approx(functional_Fq(phi, q), rel=1e-12)
     # away from the conformal exponent the value does change
     assert functional_Fq(scaled, 2.0) != pytest.approx(functional_Fq(phi, 2.0), rel=1e-3)
@@ -209,11 +208,9 @@ def test_early_stop_reports_the_steps_taken():
     assert best.iterations == len(best.history) - 1 < opts.max_iter
 
 
-def test_fq_state_exponent_relation(rng):
-    phi = random_band_limited(SQ, NT, 8, rng)
-    state = fq_state(phi, 1.6)
-    assert 1.0 / state.p + 1.0 / state.q == pytest.approx(1.0, abs=1e-15)
-    assert state.rho == pytest.approx(state.value * state.dphi_norm_q ** (2 - 1.6))
+def test_conjugate_exponent_relation():
+    for q in (4.0 / 3.0, 1.6, 2.0):
+        assert 1.0 / functional.conjugate_exponent(q) + 1.0 / q == pytest.approx(1.0, abs=1e-15)
 
 
 ASCENT_TORUS = make_lattice((1, 0), (0.3, 1.1)).unit_area()

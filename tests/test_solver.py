@@ -8,13 +8,14 @@ import pytest
 
 from spintorus.dirac import apply_dirac, dirac_symbol, symbol_modulus
 from spintorus.fields import (
+    SpinorField,
     first_positive_eigenspinor,
     l2_norm,
     lp_norm,
+    pointwise_norm,
     pointwise_power,
     random_band_limited,
     squared_twist_grid,
-    zero_field,
 )
 from spintorus.lattice import SPHERE_CONSTANT_2D, SpinStructure, make_lattice
 from spintorus.solver import (
@@ -36,13 +37,13 @@ NT = SpinStructure(1, -1)
 def test_residual_field_constant_eigenspinor():
     for p in (2.0, 3.0, 4.0):
         sol = constant_solution(SQ, NT, 16)
-        c = sol.phi.pointwise_norm()[0, 0]
+        c = pointwise_norm(sol.phi.u)[0, 0]
         lam = math.pi / c ** (p - 2.0)
         assert l2_norm(residual_field(sol.phi, lam, p)) < 1e-12
 
 
 def test_residual_field_zero_field():
-    phi = zero_field(SQ, NT, 8)
+    phi = SpinorField.from_array(SQ, NT, np.zeros((2, 8, 8), complex))
     assert l2_norm(residual_field(phi, 2.0, 3.0)) == 0.0
 
 
@@ -51,9 +52,9 @@ def test_residual_field_matches_independent_recomputation(rng):
     lam, p = 1.3, 3.2
     got = residual_field(phi, lam, p)
     dphi = apply_dirac(phi)
-    w = pointwise_power(phi.pointwise_norm(), p - 2.0)
-    assert np.allclose(got.plus, dphi.plus - lam * w * phi.plus, atol=1e-14)
-    assert np.allclose(got.minus, dphi.minus - lam * w * phi.minus, atol=1e-14)
+    w = pointwise_power(pointwise_norm(phi.u), p - 2.0)
+    assert np.allclose(got.u[0], dphi.u[0] - lam * w * phi.u[0], atol=1e-14)
+    assert np.allclose(got.u[1], dphi.u[1] - lam * w * phi.u[1], atol=1e-14)
 
 
 def test_residual_field_rejects_bad_exponent(rng):
@@ -82,7 +83,7 @@ def test_solve_p4_tall_rectangle_unscaled():
     lat = make_lattice((1, 0), (0, 4))
     sol = solve_at_exponent(4.0, constant_solution(lat, NT, 16).phi)
     assert sol.lam == pytest.approx(math.pi / 2.0, rel=1e-11)
-    assert sol.phi.pointwise_norm()[0, 0] ** 2 == pytest.approx(0.5, rel=1e-11)
+    assert pointwise_norm(sol.phi.u)[0, 0] ** 2 == pytest.approx(0.5, rel=1e-11)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -133,7 +134,7 @@ def test_gauge_covariance(rng):
     a = solve_critical(SQ, NT, init=init, n_grid=16)
     b = solve_critical(SQ, NT, init=np.exp(0.9j) * init, n_grid=16)
     assert a.lam == pytest.approx(b.lam, abs=1e-12)
-    assert np.allclose(a.phi.pointwise_norm(), b.phi.pointwise_norm(), atol=1e-10)
+    assert np.allclose(pointwise_norm(a.phi.u), pointwise_norm(b.phi.u), atol=1e-10)
 
 
 def test_grid_convergence_constant_branch():
@@ -154,7 +155,7 @@ def test_schedule_validation():
 
 def test_zero_init_rejected():
     with pytest.raises(ValueError):
-        solve_at_exponent(4.0, zero_field(SQ, NT, 8))
+        solve_at_exponent(4.0, SpinorField.from_array(SQ, NT, np.zeros((2, 8, 8), complex)))
 
 
 def test_continuation_failure_carries_trace(rng):
@@ -173,7 +174,7 @@ def test_solution_serialization_roundtrip():
     assert back.lam == sol.lam
     assert back.p == sol.p
     assert back.trace == sol.trace
-    assert np.array_equal(back.phi.plus, sol.phi.plus)
+    assert np.array_equal(back.phi.u[0], sol.phi.u[0])
 
 
 def test_init_lattice_mismatch_rejected():
@@ -390,7 +391,7 @@ def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch,
     prec = np.stack([precond(col) for col in eye], axis=1)
     assert np.abs(prec - prec.T).max() <= 1e-12 * np.abs(prec).max()
     assert (np.linalg.eigvalsh(prec) > 0).all()
-    shift = 1.0 + abs(lam) * pointwise_power(phi.pointwise_norm(), p - 2.0).max()
+    shift = 1.0 + abs(lam) * pointwise_power(pointwise_norm(phi.u), p - 2.0).max()
     diag = 1.0 / np.append(_real_rows(symbol_modulus(lat, spin, n)) + shift, np.ones(dim - m))
     window = _real_rows(_window(phi.u, min(BLOCK_RADIUS, n // 2 - 1)))
     outside = np.append(~window, np.ones(dim - m, bool))
@@ -428,7 +429,7 @@ def test_constant_branch_blocks_are_the_exact_jacobian(monkeypatch, spin, n):
     sol, (matvec, rhs, _) = _constant_branch_system(monkeypatch, lat, spin, n)
     eye = np.eye(rhs.size)
     a = np.stack([matvec(col) for col in eye], axis=1)
-    w2 = pointwise_power(sol.phi.pointwise_norm(), 2.0)
+    w2 = pointwise_power(pointwise_norm(sol.phi.u), 2.0)
     plus, minus, blocks = constant_branch_blocks(
         sol.phi.u, sol.lam, 4.0, w2, dirac_symbol(lat, spin, n), n // 2 - 1
     )
@@ -463,7 +464,7 @@ def test_block_preconditioner_floors_the_sp1_null_directions_at_shift(monkeypatc
     lat = make_lattice((1, 0), (0.35, 1.3)).unit_area()
     sol, (matvec, rhs, precond) = _constant_branch_system(monkeypatch, lat, spin, n)
     u = sol.phi.u
-    shift = 1.0 + sol.lam * pointwise_power(sol.phi.pointwise_norm(), 2.0).max()
+    shift = 1.0 + sol.lam * pointwise_power(pointwise_norm(sol.phi.u), 2.0).max()
     j_phi = np.conj(squared_twist_grid(lat, spin, n)) * np.stack([-np.conj(u[1]), np.conj(u[0])])
     for w in (1j * u, j_phi, 1j * j_phi):
         x = np.append(_unitary_spectrum(w), np.zeros(rhs.size - 4 * n * n))

@@ -48,16 +48,16 @@ def two_fft_dirac(phi):
     xi_x, xi_y = mode_vectors(phi.lat, phi.spin, phi.n_grid)
     s12 = 2j * np.pi * (xi_x + 1j * xi_y)
     s21 = -2j * np.pi * (xi_x - 1j * xi_y)
-    p_hat = np.fft.fft2(phi.plus)
-    m_hat = np.fft.fft2(phi.minus)
+    p_hat = np.fft.fft2(phi.u[0])
+    m_hat = np.fft.fft2(phi.u[1])
     return np.fft.ifft2(s12 * m_hat), np.fft.ifft2(s21 * p_hat)
 
 
 def assert_matches_reference(phi):
     plus, minus = two_fft_dirac(phi)
     out = apply_dirac(phi)
-    assert np.array_equal(out.plus, plus)
-    assert np.array_equal(out.minus, minus)
+    assert np.array_equal(out.u[0], plus)
+    assert np.array_equal(out.u[1], minus)
 
 
 @PROPERTY
@@ -131,7 +131,7 @@ def test_fq_is_invariant_under_phase_and_scale(phi, q, theta, c, sign):
        st.complex_numbers(max_magnitude=10.0))
 def test_fq_is_invariant_under_adding_a_kernel_spinor(phi, q, a, b):
     # On the trivial spin structure the kernel of D is the constant spinors.
-    phi = SpinorField(phi.lat, SpinStructure.trivial(), phi.plus, phi.minus)
+    phi = SpinorField(phi.lat, SpinStructure.trivial(), phi.u[0], phi.u[1])
     n = phi.n_grid
     kernel = SpinorField(phi.lat, phi.spin, np.full((n, n), a), np.full((n, n), b))
     assert l2_norm(apply_dirac(kernel)) <= 1e-13 * l2_norm(kernel)

@@ -5,9 +5,9 @@ import pytest
 
 from spintorus.fields import (
     SpinorField,
+    pointwise_norm,
     random_band_limited,
     squared_twist_grid,
-    zero_field,
 )
 from spintorus.lattice import SpinStructure, make_lattice
 from spintorus.solver import constant_solution
@@ -39,7 +39,7 @@ def synthetic_one_zero_field(n=32):
 
 
 def test_alpha_of_zero_field():
-    alpha = build_alpha(zero_field(SQ, NT, 8))
+    alpha = build_alpha(SpinorField.from_array(SQ, NT, np.zeros((2, 8, 8), complex)))
     assert all(np.all(a == 0) for a in alpha.components())
 
 
@@ -60,7 +60,7 @@ def test_alpha_parallel_spinor_gives_affine_plane():
 def test_alpha_conformal_factor_identity(rng):
     phi = random_band_limited(SQ, SpinStructure(-1, -1), 16, rng)
     alpha = build_alpha(phi)
-    assert np.allclose(alpha.conformal_factor(), phi.pointwise_norm() ** 2, atol=1e-12)
+    assert np.allclose(alpha.conformal_factor(), pointwise_norm(phi.u) ** 2, atol=1e-12)
 
 
 def test_alpha_sign_gauge(rng):
@@ -85,7 +85,8 @@ def test_integrate_refuses_non_closed(rng):
 
 
 def test_zero_alpha_integrates_to_origin():
-    imm = integrate_immersion(build_alpha(zero_field(SQ, NT, 8)), H=0.0)
+    zero = SpinorField.from_array(SQ, NT, np.zeros((2, 8, 8), complex))
+    imm = integrate_immersion(build_alpha(zero), H=0.0)
     assert np.all(imm.F == 0)
     assert np.all(imm.V1 == 0) and np.all(imm.V2 == 0)
 
@@ -176,7 +177,7 @@ def test_count_zeros_constant_solution():
 
 def test_count_zeros_nowhere_small(rng):
     phi = random_band_limited(SQ, NT, 16, rng)
-    lifted = SpinorField(SQ, NT, phi.plus + 10.0, phi.minus)
+    lifted = SpinorField(SQ, NT, phi.u[0] + 10.0, phi.u[1])
     assert count_zeros(lifted, lam=1.0).zeros == []
 
 
