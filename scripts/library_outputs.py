@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print one line `name sha256` per library output on fixed seeded inputs.
 
-A solve's line ends in its Newton step count, `steps=K` (summed over the
-stages of solve_critical), or `steps=failed`; the maximize_Fq line ends in
-its ascent iteration count, `steps=K`.
+A solve's line ends in its Newton step count on its own grid, `steps=K`
+(summed over the stages of solve_critical), or `steps=failed`; the
+maximize_Fq line ends in its ascent iteration count, `steps=K`.
 
 usage: python scripts/library_outputs.py [SRC]
 
@@ -30,9 +30,10 @@ import numpy as np
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).parents[1] / "src"))
 
 from spintorus import (  # noqa: E402
-    ContinuationSchedule, SpinStructure, build_alpha, closed_form_spectrum, constant_solution, count_zeros,
-    export_mesh, functional_Fq, grad_Fq, integrate_immersion, make_lattice, maximize_Fq, mu_curve,
-    normalize_euler_lagrange, solve_at_exponent, solve_critical, verify_immersion,
+    ContinuationSchedule, SpinorField, SpinStructure, build_alpha, closed_form_spectrum,
+    constant_solution, count_zeros, export_mesh, functional_Fq, grad_Fq, integrate_immersion,
+    l2_norm, make_lattice, maximize_Fq, mu_curve, normalize_euler_lagrange, solve_at_exponent,
+    solve_critical, verify_immersion,
 )
 from spintorus.fields import first_positive_eigenspinor, random_band_limited  # noqa: E402
 
@@ -62,6 +63,16 @@ def emit_solve(name, fn, *args, **kwargs):
         emit(name, solution(sol), steps=newton_steps(sol))
 
 
+def low_mode_field(lat, spin, n, rng, band=3):
+    """Unit-L^2 Gaussian random field on the modes |m|, |k| <= band of the N grid."""
+    span = np.r_[0 : band + 1, n - band : n]
+    coeffs = np.zeros((2, n, n), dtype=complex)
+    block = rng.standard_normal((2, len(span), len(span), 2)) @ [1, 1j]
+    coeffs[np.ix_([0, 1], span, span)] = block
+    field = SpinorField.from_array(lat, spin, np.fft.ifft2(coeffs))
+    return (1.0 / l2_norm(field)) * field
+
+
 SPINS = SpinStructure.all_four()
 # Eight skew tori (x, y), the first three with y < 1.2, each on two spin structures.
 TORI = [(0.1, 0.8), (-0.3, 1.0), (0.45, 1.15), (0.0, 1.3), (0.2, 1.6), (-0.4, 1.9), (0.5, 2.4),
@@ -80,6 +91,14 @@ for i, (x, y) in enumerate(TORI):
     # Newton converges only linearly on p4/3 (a 4-fold first level) and p4/4 (a
     # bifurcation exponent of the constant branch): both end steps=failed.
     emit_solve(f"solve_at_exponent/p4/{i}", solve_at_exponent, 4.0, init)
+
+# Inits on the modes |m|, |k| <= 3 at N = 64, as `solve --resume` polishes them: they hold
+# nothing outside the N/2 grid's modes, so the solver may take them to N/2 first.
+for i, ((x, y), p) in enumerate((torus, p) for torus in TORI[3:7] for p in (3.0, 4.0)):
+    lat1, spin = make_lattice((1, 0), (x, y)).unit_area(), SpinStructure(1, -1)
+    init = first_positive_eigenspinor(lat1, spin, 64) + 0.2 * low_mode_field(
+        lat1, spin, 64, np.random.default_rng([23, i]))
+    emit_solve(f"solve_at_exponent/band_limited/{i}", solve_at_exponent, p, init)
 
 sq, spin = make_lattice((1, 0), (0, 1)), SpinStructure(1, -1)
 init = first_positive_eigenspinor(sq, spin, 16)

@@ -209,6 +209,16 @@ def random_band_limited(
     return (1.0 / l2_norm(phi)) * phi
 
 
+def resample(phi: SpinorField, m: int) -> SpinorField:
+    """phi on an M x M grid, its Fourier coefficients truncated or zero-padded; the smaller
+    grid's Nyquist index h holds the mode -h, as mode_index_grid labels it, so D commutes."""
+    half = min(phi.n_grid, m) // 2
+    span = np.r_[0:half, -half:0]
+    coeffs = np.zeros((2, m, m), dtype=complex)
+    coeffs[:, span[:, None], span] = np.fft.fft2(phi.u, norm="forward")[:, span[:, None], span]
+    return phi.with_u(np.fft.ifft2(coeffs, norm="forward"))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -16,7 +16,8 @@ xi0 - eta, so it splits exactly into 4x4 Hermitian blocks
 (constant_branch_blocks).  Built at the dominant mode of the current iterate,
 the blocks give MINRES an absolute-value preconditioner |B|^{-1} on a window
 of modes around xi0 (eigenvalues floored at the diagonal's shift); elsewhere
-the preconditioner is the diagonal 1/(2 pi |xi| + shift).
+the preconditioner is the diagonal 1/(2 pi |xi| + shift).  A band-limited
+init is solved on the N/2 grid first and polished on N (solve_at_exponent).
 That MINRES is a port of SciPy's sparse.linalg.minres (Paige-Saunders) that
 repeats its arithmetic operation for operation, so its iterates are
 bit-identical to SciPy's; it also returns SciPy's exit flag and iteration
@@ -53,6 +54,7 @@ from .fields import (
     quadrature_weight,
     random_band_limited,
     real_number,
+    resample,
     spinor_from_dict,
     spinor_to_dict,
 )
@@ -327,7 +329,11 @@ def solve_at_exponent(
     c = (lam / lam0)**(1/(p-2)) solves D psi = lam0 |psi|^{p-2} psi.  Of the
     schedule only the stopping rule is read: solve_tolerance(N), tol_norm and
     max_newton.  MINRES and the damping search are bounded by MINRES_MAXITER
-    and DAMPING_MIN.
+    and DAMPING_MIN.  An unconverged init with at most tol_norm of its L^2 norm
+    outside the N/2 grid's modes, N/2 even and >= 2 BLOCK_RADIUS + 2, is solved on
+    N/2 first (by this rule again), and Newton on N starts from that solution, or
+    from the init if it failed.  meta holds step counts only: newton_iters on N,
+    and after a coarse stage coarse_newton_iters on the grids below.
     """
     _check_exponent(p)
     phi0 = init.phi if isinstance(init, Solution) else init
@@ -338,11 +344,6 @@ def solve_at_exponent(
     if l2_norm(phi0) == 0.0:
         raise ValueError("init field is identically zero")
 
-    u = phi0.u / lp_norm(phi0, p)
-    du = apply_dirac(phi0.with_u(u)).u
-    num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
-    lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
-
     def merit(v, lm):
         """Residual norm, norm gap, their hypot, and the residual array itself."""
         phi = phi0.with_u(v)
@@ -350,6 +351,20 @@ def solve_at_exponent(
         res = l2_norm(r)
         gap = lp_norm(phi, p) - 1.0
         return res, gap, math.hypot(res, gap), r.u
+
+    def start(phi):
+        """phi scaled to ||phi||_p = 1, its Rayleigh lambda, and their merit."""
+        u = phi.u / lp_norm(phi, p)
+        du = apply_dirac(phi.with_u(u)).u
+        num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
+        lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
+        return (u, lam, *merit(u, lam))
+
+    u, lam, res, gap, total, r = start(phi0)
+    converged = res < tol_solve and abs(gap) < schedule.tol_norm
+    coarse = None if converged else _coarse_stage(p, phi0, schedule)
+    if coarse is not None:
+        u, lam, res, gap, total, r = start(resample(coarse.phi, n))
 
     symbol, m = dirac_symbol(lat, spin, n), 4 * n * n
     modulus = np.broadcast_to(symbol_modulus(lat, spin, n)[:, :, None], (2, n, n, 2)).ravel()
@@ -362,7 +377,6 @@ def solve_at_exponent(
         return x[:m].view(complex).reshape(2, n, n)
 
     last_solve = "none"
-    res, gap, total, r = merit(u, lam)
     for newton_iters in range(schedule.max_newton + 1):
         if res < tol_solve and abs(gap) < schedule.tol_norm:
             break
@@ -456,7 +470,22 @@ def solve_at_exponent(
         raise ContinuationError(
             f"converged to a non-positive branch lambda={lam:.3e} at p={p}", []
         )
-    return Solution.of(phi, lam, p, meta={"newton_iters": newton_iters})
+    below = {} if coarse is None else {"coarse_newton_iters": sum(coarse.meta.values())}
+    return Solution.of(phi, lam, p, meta={"newton_iters": newton_iters, **below})
+
+
+def _coarse_stage(p: float, phi: SpinorField, schedule: ContinuationSchedule) -> Solution | None:
+    """The coarse stage of solve_at_exponent(p, phi, schedule): a Solution on N/2, or None."""
+    half = phi.n_grid // 2
+    if half % 2 or half < 2 * BLOCK_RADIUS + 2:
+        return None
+    low = resample(phi, half)
+    if l2_norm(phi - resample(low, phi.n_grid)) > schedule.tol_norm * l2_norm(phi):
+        return None
+    try:
+        return solve_at_exponent(p, low, schedule)
+    except ContinuationError:
+        return None
 
 
 def solve_critical(
@@ -503,7 +532,7 @@ def solve_critical(
                 "residual": sol.residual,
                 "min_abs": sol.min_abs(),
                 "max_abs": sol.max_abs(),
-                "newton_iters": sol.meta.get("newton_iters", 0),
+                **sol.meta,  # newton_iters, and coarse_newton_iters after a coarse stage
             }
         )
     sol.trace = trace

@@ -9,9 +9,11 @@ from spintorus.fields import (
     mode_index_grid,
     pure_mode_field,
     random_band_limited,
+    resample,
     spinor_from_dict,
     spinor_to_dict,
 )
+from spintorus.dirac import apply_dirac
 from spintorus.lattice import SpinStructure, dual_modes, make_lattice
 
 SQ = make_lattice((1, 0), (0, 1))
@@ -106,3 +108,41 @@ def test_mode_pairing_invariant_on_grid_modes():
                                 (lat.gamma2, kk + float(t2), spin.eps2)):
         assert np.allclose(xi @ np.array(gamma), pairing, rtol=0.0, atol=1e-12)
         assert np.allclose(np.exp(2j * np.pi * (xi @ np.array(gamma))), eps, rtol=0.0, atol=1e-12)
+
+
+def full_spectrum_field(lat, spin, n, rng):
+    """Random samples: energy on every mode of the grid, its Nyquist row and column too."""
+    samples = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    return SpinorField.from_array(lat, spin, samples)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_resample_restriction_undoes_prolongation(rng, n):
+    coarse = full_spectrum_field(SQ, NT, n, rng)
+    fine = resample(coarse, 2 * n)
+    assert fine.n_grid == 2 * n
+    scale = np.abs(coarse.u).max()
+    # fine holds only the modes of the n grid, so restricting then prolonging it is the identity
+    assert np.abs(resample(fine, n).u - coarse.u).max() <= 1e-15 * scale
+    assert np.abs(resample(resample(fine, n), 2 * n).u - fine.u).max() <= 1e-15 * scale
+    assert l2_norm(fine) == pytest.approx(l2_norm(coarse), rel=1e-14)
+    assert l2_norm(resample(fine, n)) == pytest.approx(l2_norm(coarse), rel=1e-14)
+
+
+@pytest.mark.parametrize("spin", SpinStructure.all_four())
+def test_resample_commutes_with_dirac_on_the_nyquist_modes(rng, spin):
+    # The n grid's Nyquist index holds the mode -n/2; the 2n grid keeps it at -n/2,
+    # where D acts by the same symbol.
+    lat = make_lattice((1, 0), (0.3, 1.4))
+    n = 8
+    phi = full_spectrum_field(lat, spin, n, rng)
+    hat = np.fft.fft2(phi.u)
+    assert np.abs(hat[:, n // 2, :]).min() > 0 and np.abs(hat[:, :, n // 2]).min() > 0
+    got = apply_dirac(resample(phi, 2 * n)).u
+    want = resample(apply_dirac(phi), 2 * n).u
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_resample_rejects_an_odd_grid(rng):
+    with pytest.raises(ValueError, match="even"):
+        resample(random_band_limited(SQ, NT, 8, rng), 7)

@@ -15,6 +15,7 @@ from spintorus.fields import (
     pointwise_norm,
     pointwise_power,
     random_band_limited,
+    resample,
     squared_twist_grid,
 )
 from spintorus.lattice import SPHERE_CONSTANT_2D, SpinStructure, make_lattice
@@ -493,3 +494,72 @@ def test_block_preconditioner_cuts_minres_iterations(monkeypatch):
         solve_at_exponent(4.0, init)
         totals.append(sum(counts))
     assert totals[0] <= 0.7 * totals[1], totals
+
+
+SKEW = make_lattice((1, 0), (0.3, 1.7)).unit_area()
+
+
+def low_mode_init(n, seed, amplitude=0.2):
+    """First eigenspinor plus a unit-L^2 random field on modes |m|, |k| <= 3, as
+    solve --resume polishes them: it holds nothing outside the N/2 grid's modes."""
+    noise = resample(random_band_limited(SKEW, NT, 12, np.random.default_rng(seed)), n)
+    return first_positive_eigenspinor(SKEW, NT, n) + amplitude * noise
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_band_limited_init_is_solved_on_the_coarse_grid_first(seed):
+    sol = solve_at_exponent(4.0, low_mode_init(64, seed))
+    assert sol.meta["coarse_newton_iters"] >= 1, sol.meta
+    res = l2_norm(residual_field(sol.phi, sol.lam, 4.0))
+    assert res <= ContinuationSchedule().solve_tolerance(64)
+    assert abs(lp_norm(sol.phi, 4.0) - 1.0) < ContinuationSchedule().tol_norm
+    assert sol.lam == pytest.approx(constant_solution(SKEW, NT, 64).lam, abs=1e-8)
+
+
+def test_converged_init_takes_no_step_and_no_coarse_stage():
+    sol = solve_at_exponent(4.0, constant_solution(SKEW, NT, 64).phi)
+    assert sol.meta == {"newton_iters": 0}
+
+
+@pytest.mark.parametrize(
+    "init",
+    [
+        # random_band_limited reaches mode N/4, which the N/2 grid holds only as -N/4.
+        first_positive_eigenspinor(SKEW, NT, 64)
+        + 0.1 * random_band_limited(SKEW, NT, 64, np.random.default_rng(3)),
+        # N/2 = 10 is narrower than the block window, 2 BLOCK_RADIUS + 2 = 12.
+        low_mode_init(20, 1),
+        # N/2 = 13 is odd.
+        low_mode_init(26, 1),
+    ],
+    ids=["random_band_limited", "n20", "n26"],
+)
+def test_no_coarse_stage_without_a_band_limited_init_on_a_wide_even_half_grid(init):
+    sol = solve_at_exponent(4.0, init)
+    assert sol.meta["newton_iters"] >= 1
+    assert "coarse_newton_iters" not in sol.meta
+
+
+def test_failed_coarse_stage_falls_back_to_newton_on_the_grid(monkeypatch):
+    from spintorus import solver
+
+    solve, grids = solver.solve_at_exponent, []
+
+    def failing(p, init, schedule):
+        grids.append(init.n_grid)
+        raise ContinuationError("coarse stage failed", [])
+
+    monkeypatch.setattr(solver, "solve_at_exponent", failing)
+    sol = solve(4.0, low_mode_init(64, 1))
+    assert grids == [32]
+    assert "coarse_newton_iters" not in sol.meta and sol.meta["newton_iters"] >= 1
+    res = l2_norm(residual_field(sol.phi, sol.lam, 4.0))
+    assert res <= ContinuationSchedule().solve_tolerance(64)
+    assert sol.lam == pytest.approx(constant_solution(SKEW, NT, 64).lam, abs=1e-8)
+
+
+def test_trace_names_coarse_steps_only_for_stages_that_took_them():
+    # The p = 2 stage polishes a coarse solution; it is an exact eigenspinor,
+    # and every later stage starts converged on N.
+    sol = solve_critical(SKEW, NT, init=low_mode_init(64, 1))
+    assert [("coarse_newton_iters" in stage) for stage in sol.trace] == [True] + [False] * 6
