@@ -45,7 +45,6 @@ from .weierstrass import (
     Immersion,
     OneFormField,
     build_alpha,
-    closedness_residual,
     count_zeros,
     export_mesh,
     integrate_immersion,

@@ -217,6 +217,9 @@ def _load_solution(path) -> Solution:
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
         sol = Solution.from_dict(data)
+        with np.errstate(over="ignore"):  # finite entries can still overflow |phi|^4
+            if not math.isfinite(lp_norm(sol.phi, 4.0)):
+                raise ValueError("plus, minus: the integral of |phi|^4 overflows a double")
         if sol.max_abs() == 0.0:
             raise ValueError("plus, minus: the zero spinor")
         return sol
@@ -229,7 +232,7 @@ def _verified_immersion(cfg: RunConfig, sol: Solution):
     imm = integrate_immersion(
         build_alpha(sol.phi), H=sol.lam, tol_closed=cfg.tol_closed, zero_tol=cfg.zero_tol
     )
-    return imm, verify_immersion(imm, sol.phi, H=sol.lam, cmc_tol=cfg.tol_cmc)
+    return imm, verify_immersion(imm, sol.phi, cmc_tol=cfg.tol_cmc)
 
 
 def cmd_surface(cfg: RunConfig, args) -> int:
@@ -237,9 +240,7 @@ def cmd_surface(cfg: RunConfig, args) -> int:
     imm, checks = _verified_immersion(cfg, sol)
     report = {"threshold": _solution_threshold(sol), **imm.summary(), "checks": checks.as_dict()}
     if not args.verify_only:
-        obj_path, sidecar = export_mesh(
-            imm, cfg.copies, _out_dir(cfg) / "surface.obj", lam=sol.lam
-        )
+        obj_path, sidecar = export_mesh(imm, cfg.copies, _out_dir(cfg) / "surface.obj")
         report["files"] = [Path(obj_path).name, Path(sidecar).name]
     return _write_report(cfg, "surface", report, checks.summary_lines(), passed=checks.passed)
 

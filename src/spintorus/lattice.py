@@ -33,8 +33,8 @@ MAX_HALF_WIDTH = 512
 
 class InvalidLatticeError(ValueError):
     """Generators that span no usable lattice: not pairs of finite real numbers,
-    not positively oriented, or so skewed that no mode window up to
-    MAX_HALF_WIDTH certifies its shortest modes."""
+    of an area that overflows a double, not positively oriented, or so skewed
+    that no mode window up to MAX_HALF_WIDTH certifies its shortest modes."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class Lattice:
                 "generators must be pairs of finite real numbers, "
                 f"got {self.gamma1}, {self.gamma2}"
             )
+        if not math.isfinite(self.det()):
+            raise InvalidLatticeError(f"generators must span a finite area, det={self.det()}")
         if not self.det() > 0.0:
             raise InvalidLatticeError(
                 f"generators must be positively oriented, det={self.det()}"

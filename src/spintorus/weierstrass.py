@@ -67,10 +67,6 @@ class OneFormField:
     lat: Lattice
     a: np.ndarray
 
-    @property
-    def n_grid(self) -> int:
-        return self.a.shape[-1]
-
     def components(self):
         """The rows (a1, a2, a3) of `a`, as views."""
         return tuple(self.a)
@@ -108,10 +104,6 @@ class Immersion:
             + np.multiply.outer(l // n, self.V2)
         )
 
-    def period(self, n1: int, n2: int) -> np.ndarray:
-        """Period homomorphism on n1 gamma1 + n2 gamma2 (additive by construction)."""
-        return n1 * self.V1 + n2 * self.V2
-
     def summary(self) -> dict:
         """Periods, H, diagnostics and branch points as reports serialize them."""
         n = self.n_grid
@@ -133,36 +125,6 @@ def build_alpha(phi: SpinorField) -> OneFormField:
     return OneFormField(phi.lat, a)
 
 
-def _lattice_spectra(alpha: OneFormField):
-    """Spectra of dF pulled back to lattice coordinates, dF_k = U_k ds + V_k dt.
-
-    Returns (fft2(U), fft2(V)), each stacked over k as a (3, N, N) array.
-    """
-    g1, g2 = alpha.lat.gamma1, alpha.lat.gamma2
-    u = -alpha.a.imag  # dx1 coefficient
-    v = alpha.a.real  # dx2 coefficient
-    return np.fft.fft2(u * g1[0] + v * g1[1]), np.fft.fft2(u * g2[0] + v * g2[1])
-
-
-def _closedness_from_spectra(lat: Lattice, u_hat, v_hat) -> float:
-    n = u_hat.shape[-1]
-    mm, kk = mode_index_grid(n)
-    r_hat = 2j * np.pi * (mm * v_hat - kk * u_hat)
-    r = np.fft.ifft2(r_hat).real / lat.det()
-    # One sum per component, added in component order: a fixed rounding order.
-    total = sum(float(np.sum(rk**2)) for rk in r)
-    return math.sqrt(lat.area / n**2 * total)
-
-
-def closedness_residual(alpha: OneFormField) -> float:
-    """L^2 norm of d(Re alpha), measured as a Euclidean-coordinate density.
-
-    Zero analytically for exact solutions of D phi = H |phi|^2 phi, so the
-    reported value is the discretization / solver residual.
-    """
-    return _closedness_from_spectra(alpha.lat, *_lattice_spectra(alpha))
-
-
 def integrate_immersion(
     alpha: OneFormField, H: float | None = None, tol_closed: float = 1e-5,
     zero_tol: float = 1e-6,
@@ -172,18 +134,27 @@ def integrate_immersion(
     The lattice-periodic coefficient functions split into mean plus
     oscillation; the oscillation integrates spectrally (mode division), the
     mean gives the linear part whose values on gamma1, gamma2 are the
-    periods.  Refuses to integrate when the closedness residual exceeds
-    tol_closed.
+    periods.  The closedness residual, the L^2 norm of d(Re alpha) as a
+    Euclidean density (zero for exact solutions), is diagnostics["closedness"];
+    above tol_closed integration refuses with a ClosednessError carrying it.
     """
-    u_hat, v_hat = _lattice_spectra(alpha)
-    res_closed = _closedness_from_spectra(alpha.lat, u_hat, v_hat)
+    lat = alpha.lat
+    g1, g2 = lat.gamma1, lat.gamma2
+    u = -alpha.a.imag  # dx1 coefficient
+    v = alpha.a.real  # dx2 coefficient
+    # dF pulled back to lattice coordinates, dF_k = U_k ds + V_k dt, stacked over k
+    u_hat = np.fft.fft2(u * g1[0] + v * g1[1])
+    v_hat = np.fft.fft2(u * g2[0] + v * g2[1])
+    n = u_hat.shape[-1]
+    mm, kk = mode_index_grid(n)
+    r = np.fft.ifft2(2j * np.pi * (mm * v_hat - kk * u_hat)).real / lat.det()
+    # One sum per component, added in component order: a fixed rounding order.
+    res_closed = math.sqrt(lat.area / n**2 * sum(float(np.sum(rk**2)) for rk in r))
     if not res_closed <= tol_closed:
         raise ClosednessError(
             f"closedness residual {res_closed:.3e} exceeds tol_closed={tol_closed:.3e}",
             res_closed,
         )
-    n = alpha.n_grid
-    mm, kk = mode_index_grid(n)
     denom = mm**2 + kk**2
     denom[0, 0] = 1.0
     lin = np.stack([u_hat[:, 0, 0].real, v_hat[:, 0, 0].real], axis=1) / n**2
@@ -194,18 +165,11 @@ def integrate_immersion(
     ss = np.arange(n)[:, None] / n
     tt = np.arange(n)[None, :] / n
     F += ss[..., None] * lin[:, 0] + tt[..., None] * lin[:, 1]
-    mu = alpha.conformal_factor()
-    imm = Immersion(
-        lat=alpha.lat,
-        F=F,
-        V1=lin[:, 0].copy(),
-        V2=lin[:, 1].copy(),
-        H=H,
-        branch_points=_detect_branch_points(mu, zero_tol),
+    return Immersion(
+        lat=lat, F=F, V1=lin[:, 0].copy(), V2=lin[:, 1].copy(), H=H, tol_closed=tol_closed,
+        branch_points=_detect_branch_points(alpha.conformal_factor(), zero_tol),
         diagnostics={"closedness": res_closed},
-        tol_closed=tol_closed,
     )
-    return imm
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +215,6 @@ def _ring(center: tuple[int, int], radius: int, n: int):
     return [(j % n, l % n) for j, l in cells]
 
 
-def _ring_mean(arr: np.ndarray, center, radius: int) -> float:
-    vals = [arr[j, l] for j, l in _ring(center, radius, arr.shape[0])]
-    return float(np.mean(vals))
-
-
 def _zero_clusters(mu: np.ndarray, zero_tol: float) -> list:
     """(center, cells) of each periodic grid cluster where mu < zero_tol * max mu;
     the center is the cell of least mu.  Empty when mu vanishes identically."""
@@ -272,8 +231,9 @@ def _detect_branch_points(mu: np.ndarray, zero_tol: float) -> list:
     """Zeros of the conformal factor with vanishing order from a 5x5 fit."""
     pts = []
     for center, _ in _zero_clusters(mu, zero_tol):
-        s1 = _ring_mean(mu, center, 1)
-        s2 = _ring_mean(mu, center, 2)
+        s1, s2 = (
+            float(np.mean([mu[c] for c in _ring(center, r, mu.shape[0])])) for r in (1, 2)
+        )
         if s1 <= 0.0 or s2 <= 0.0:
             order = 0
         else:
@@ -375,10 +335,9 @@ def _branch_mask(imm: Immersion) -> np.ndarray:
     """True on vertices within BRANCH_MARGIN cells of a branch point."""
     n = imm.n_grid
     mask = np.zeros((n, n), dtype=bool)
+    near = np.arange(-BRANCH_MARGIN, BRANCH_MARGIN + 1)
     for j, l, _ in imm.branch_points:
-        for dj in range(-BRANCH_MARGIN, BRANCH_MARGIN + 1):
-            for dl in range(-BRANCH_MARGIN, BRANCH_MARGIN + 1):
-                mask[(j + dj) % n, (l + dl) % n] = True
+        mask[np.ix_((j + near) % n, (l + near) % n)] = True
     return mask
 
 
@@ -456,25 +415,16 @@ def verify_immersion(
         f"orders={[o for _, _, o in imm.branch_points]}",
     )
 
-    diag = _diagonal_period(imm, jac)
+    # the period over the diagonal loop gamma1 + gamma2 by direct line quadrature
+    idx = np.arange(imm.n_grid)
+    gamma = np.array(imm.lat.gamma1) + np.array(imm.lat.gamma2)
+    diag = (jac[idx, idx] @ gamma).sum(axis=0) / imm.n_grid  # dF(gamma) along the diagonal
     add_err = float(np.linalg.norm(diag - (imm.V1 + imm.V2)))
     scale = max(np.linalg.norm(imm.V1) + np.linalg.norm(imm.V2), 1.0)
     checks.add("period additivity", add_err / scale, PERIOD_TOL, add_err / scale < PERIOD_TOL)
 
     imm.diagnostics.update({"conformality": conf, "cmc_median_err": cmc_err})
     return checks
-
-
-def _diagonal_period(imm: Immersion, jac: np.ndarray) -> np.ndarray:
-    """Period over the diagonal loop gamma1 + gamma2 by direct line quadrature.
-
-    `jac` is `_spectral_jacobian(imm)`.
-    """
-    n = imm.n_grid
-    gamma = np.array(imm.lat.gamma1) + np.array(imm.lat.gamma2)
-    idx = np.arange(n)
-    samples = jac[idx, idx] @ gamma  # dF(gamma) along the diagonal
-    return samples.sum(axis=0) / n
 
 
 # ---------------------------------------------------------------------------

@@ -232,23 +232,26 @@ def test_readme_commands_run_with_scipy_unimportable(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("plus", [0.0, 1e100], ids=["zero", "quartic-overflow"])
 @pytest.mark.parametrize("command", ["check --solution", "surface --solution", "solve --resume"])
-def test_surface_rejects_zero_spinor(tmp_path, command):
+def test_surface_rejects_zero_spinor(tmp_path, command, plus):
+    """The zero spinor, and a finite one whose |phi|^4 overflows, are refused up front."""
     from spintorus.fields import SpinorField
     from spintorus.lattice import SpinStructure, make_lattice
     from spintorus.solver import Solution
 
+    u = np.zeros((2, 8, 8), complex)
+    u[0] = plus
     sol = Solution(
-        phi=SpinorField.from_array(
-            make_lattice((1, 0), (0, 1)), SpinStructure(1, -1), np.zeros((2, 8, 8), complex)
-        ),
+        phi=SpinorField.from_array(make_lattice((1, 0), (0, 1)), SpinStructure(1, -1), u),
         lam=1.0, p=4.0, residual=0.0, norm_p=0.0,
     )
-    path = tmp_path / "zero.json"
+    path = tmp_path / "phi.json"
     path.write_text(json.dumps(sol.to_dict()))
     result = run_cli(*command.split(), str(path), "--out", str(tmp_path), check=False)
     assert result.returncode == 2
-    assert "zero.json: plus, minus:" in result.stderr
+    assert "phi.json: plus, minus:" in result.stderr
+    assert "Warning" not in result.stderr
 
 
 def test_config_file_ini_and_json(tmp_path):
@@ -486,6 +489,9 @@ HEADER_DEFECTS = {
     "lattice-null": ("lattice", lambda data: data["lattice"].update(gamma1=None)),
     "lattice-3-entries": ("lattice", lambda data: data["lattice"].update(gamma1=[1, 0, 0])),
     "lattice-bool": ("lattice", lambda data: data["lattice"].update(gamma1=[1, False])),
+    "lattice-area": (
+        "lattice", lambda data: data["lattice"].update(gamma1=[1e200, 0], gamma2=[0, 1e200])
+    ),
     "lambda-bool": ("lambda", lambda data: data.update({"lambda": True})),
     "spin": ("spin", lambda data: data["spin"].update(eps1=3)),
     "n_grid": ("n_grid", lambda data: data.update(n_grid="abc")),
@@ -580,6 +586,14 @@ def test_resume_of_three_entry_generator_exits_2_naming_lattice(tmp_path, capsys
     path = _defective_solution_file(tmp_path, "lattice-3-entries")
     assert main(["solve", "--resume", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "s.json: lattice: generators must be pairs" in capsys.readouterr().err
+
+
+def test_resume_of_infinite_area_lattice_exits_2_naming_lattice(tmp_path, capsys):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    path = _defective_solution_file(tmp_path, "lattice-area")
+    assert main(["solve", "--resume", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "s.json: lattice: generators must span a finite area" in capsys.readouterr().err
 
 
 def test_solve_that_cannot_converge_exits_3_without_a_report(tmp_path, capsys):

@@ -152,6 +152,8 @@ def test_non_finite_generators_rejected(bad):
         make_lattice((1, 0), (bad, 2))
     with pytest.raises(InvalidLatticeError, match="finite"):
         make_lattice((bad, 0), (0, 2))
+    with pytest.raises(InvalidLatticeError, match="finite"):  # finite entries, infinite area
+        make_lattice((1e200, 0), (0, 1e200))
 
 
 @pytest.mark.parametrize(

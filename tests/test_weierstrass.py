@@ -14,7 +14,6 @@ from spintorus.solver import constant_solution
 from spintorus.weierstrass import (
     ClosednessError,
     build_alpha,
-    closedness_residual,
     count_zeros,
     discrete_mean_curvature,
     export_mesh,
@@ -47,9 +46,8 @@ def test_alpha_parallel_spinor_gives_affine_plane():
     n = 16
     c = 0.8
     phi = SpinorField(SQ, TRIV, np.full((n, n), c, complex), np.zeros((n, n), complex))
-    alpha = build_alpha(phi)
-    assert closedness_residual(alpha) < 1e-13
-    imm = integrate_immersion(alpha, H=0.0)
+    imm = integrate_immersion(build_alpha(phi), H=0.0)
+    assert imm.diagnostics["closedness"] < 1e-13
     # affine image: both periods nonzero, all normals identical, flat
     assert np.linalg.norm(imm.V1) > 0 and np.linalg.norm(imm.V2) > 0
     h, normals = discrete_mean_curvature(imm)
@@ -73,9 +71,11 @@ def test_alpha_sign_gauge(rng):
 
 def test_closedness_detects_non_solutions(rng):
     sol = constant_solution(SQ, NT, 32)
-    assert closedness_residual(build_alpha(sol.phi)) < 1e-10
+    assert integrate_immersion(build_alpha(sol.phi)).diagnostics["closedness"] < 1e-10
     junk = random_band_limited(SQ, NT, 32, rng)
-    assert closedness_residual(build_alpha(junk)) > 0.1
+    with pytest.raises(ClosednessError) as excinfo:
+        integrate_immersion(build_alpha(junk))
+    assert excinfo.value.residual > 0.1
 
 
 def test_integrate_refuses_non_closed(rng):
@@ -122,10 +122,11 @@ def test_verify_immersion_cylinder():
 
 
 def test_period_homomorphism_additivity():
-    sol = constant_solution(make_lattice((1, 0), (0, 2)), NT, 32)
+    n = 32
+    sol = constant_solution(make_lattice((1, 0), (0, 2)), NT, n)
     imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
-    assert np.allclose(imm.period(1, 1), imm.V1 + imm.V2, atol=1e-15)
-    assert np.allclose(imm.period(2, -3), 2 * imm.V1 - 3 * imm.V2, atol=1e-15)
+    assert np.allclose(imm.at(n, n), imm.V1 + imm.V2, atol=1e-15)
+    assert np.allclose(imm.at(2 * n, -3 * n), 2 * imm.V1 - 3 * imm.V2, atol=1e-15)
 
 
 def test_branch_point_detected_with_even_order():
