@@ -218,10 +218,10 @@ def _load_solution(path) -> Solution:
             raise ValueError("not a JSON object")
         sol = Solution.from_dict(data)
         with np.errstate(over="ignore"):  # finite entries can still overflow |phi|^4
-            if not math.isfinite(lp_norm(sol.phi, 4.0)):
+            if not math.isfinite(norm4 := lp_norm(sol.phi, 4.0)):
                 raise ValueError("plus, minus: the integral of |phi|^4 overflows a double")
-        if sol.max_abs() == 0.0:
-            raise ValueError("plus, minus: the zero spinor")
+        if norm4 == 0.0:
+            raise ValueError("plus, minus: the zero spinor, or one whose |phi|^4 underflows")
         return sol
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"solution file {path}: {exc}") from exc

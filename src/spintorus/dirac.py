@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpinorField, l2_norm, mode_vectors
+from .fields import SpinorField, _fft2, _ifft2, l2_norm, mode_vectors
 from .lattice import Lattice, SpinStructure
 
 #: Dense diagonalization is an oracle; larger grids use the closed form.
@@ -59,8 +59,8 @@ def apply_dirac(phi: SpinorField) -> SpinorField:
     # every size: numpy computes `symbol * <temporary>` in place, as
     # temporary * symbol, once the temporary reaches 256 KiB, and a complex
     # product can round differently with its operands swapped.
-    u_hat = np.fft.fft2(phi.u)
-    return phi.with_u(np.fft.ifft2(dirac_symbol(phi.lat, phi.spin, phi.n_grid) * u_hat[::-1]))
+    u_hat = _fft2(phi.u)
+    return phi.with_u(_ifft2(dirac_symbol(phi.lat, phi.spin, phi.n_grid) * u_hat[::-1]))
 
 
 def project_out_kernel(phi: SpinorField) -> SpinorField:

@@ -32,6 +32,8 @@ import numpy as np
 from .dirac import apply_dirac, dirac_symbol, symbol_modulus
 from .fields import (
     SpinorField,
+    _fft2,
+    _ifft2,
     first_positive_eigenspinor,
     l2_inner,
     l2_norm,
@@ -101,9 +103,9 @@ def _fq_and_grad(phi: SpinorField, q: float) -> tuple[float, SpinorField, Spinor
     rho = F_q den^{2-q}: one apply_dirac, then one fft2 and one ifft2."""
     value, dphi, den = _fq(phi, q)
     rho = value * den ** (2.0 - q)
-    w_hat = np.fft.fft2(phi.u - rho * pointwise_power(pointwise_norm(dphi.u), q - 2.0) * dphi.u)
+    w_hat = _fft2(phi.u - rho * pointwise_power(pointwise_norm(dphi.u), q - 2.0) * dphi.u)
     dw_hat = dirac_symbol(phi.lat, phi.spin, phi.n_grid) * w_hat[::-1]
-    return value, dphi, (2.0 / den**2) * phi.with_u(np.fft.ifft2(dw_hat))
+    return value, dphi, (2.0 / den**2) * phi.with_u(_ifft2(dw_hat))
 
 
 def functional_Fq(phi: SpinorField, q: float) -> float:
@@ -160,18 +162,18 @@ def maximize_Fq(
         mod = pointwise_norm(dphi)
         nq = kappa * (mod**q).sum()
         # grad = (2/den^2) D w, w = phi - rho |D phi|^{q-2} D phi, rho = num/nq.
-        w_hat = phi_hat - np.fft.fft2(num / nq * pointwise_power(mod, q - 2.0) * dphi)
+        w_hat = phi_hat - _fft2(num / nq * pointwise_power(mod, q - 2.0) * dphi)
         return num, nq, mod, 2.0 / nq ** (2.0 / q) * (symbol * w_hat[::-1])
 
     def fresh(phi_hat: np.ndarray):
         """The field of spectrum phi_hat, and its F_q, D phi and |grad| as grad_Fq gives them."""
-        phi = init.with_u(np.fft.ifft2(phi_hat))
+        phi = init.with_u(_ifft2(phi_hat))
         value, dphi, grad = _fq_and_grad(phi, q)
         return phi, value, dphi.u, l2_norm(grad)
 
     # The symbol's zero modes span ker D (trivial spin only); d never has them.
-    phi_hat = np.where(modulus > 0.0, np.fft.fft2(init.u), 0.0)
-    dphi = np.fft.ifft2(symbol * phi_hat[::-1])
+    phi_hat = np.where(modulus > 0.0, _fft2(init.u), 0.0)
+    dphi = _ifft2(symbol * phi_hat[::-1])
     den = lp_norm(init.with_u(dphi), q)
     if den <= TOL_DEGENERATE:
         raise DegenerateFieldError("iterate collapsed into ker D")
@@ -190,7 +192,7 @@ def maximize_Fq(
         if slope <= 0.0:
             break
         ddir_hat = symbol * dir_hat[::-1]
-        ddir = np.fft.ifft2(ddir_hat)
+        ddir = _ifft2(ddir_hat)
         # Along phi + s d the numerator is num + s b + s^2 c and |D phi|^2 gains the factor
         # 1 + s lin + s^2 quad, so trials price the gain in F without transform or cancellation.
         b = weight * (np.vdot(symbol * phi_hat[::-1], dir_hat) + np.vdot(ddir_hat, phi_hat))

@@ -195,10 +195,10 @@ def _aggregate_levels(radii: np.ndarray) -> list[tuple[float, int]]:
     while i < n:
         r = radii[i]
         j = i
-        while j < n and radii[j] <= r + 1e-12 * max(1.0, r):
+        while j < n and radii[j] <= r + 1e-12 * r:
             j += 1
         mult = j - i
-        if r < 1e-14:
+        if r == 0.0:
             entries.append((0.0, 2 * mult))
         else:
             val = 2.0 * math.pi * float(r)
@@ -217,7 +217,7 @@ def first_positive_eigenvalue(lat: Lattice, spin: SpinStructure) -> float:
 def first_eigenmode(lat: Lattice, spin: SpinStructure) -> tuple[int, int]:
     """Integer index (m, k) of a shortest nonzero mode, deterministic tie-break."""
     for mm, kk, radii, certified in _mode_windows(lat, spin):
-        nonzero = radii > 1e-14
+        nonzero = radii > 0.0
         r_min, m, k = min(zip(radii[nonzero], mm[nonzero], kk[nonzero]))
         if r_min < certified:
             return int(m), int(k)

@@ -18,10 +18,11 @@ the blocks give MINRES an absolute-value preconditioner |B|^{-1} on a window
 of modes around xi0 (eigenvalues floored at the diagonal's shift); elsewhere
 the preconditioner is the diagonal 1/(2 pi |xi| + shift).  A band-limited
 init is solved on the N/2 grid first and polished on N (solve_at_exponent).
-That MINRES is a port of SciPy's sparse.linalg.minres (Paige-Saunders) that
-repeats its arithmetic operation for operation, so its iterates are
-bit-identical to SciPy's; it also returns SciPy's exit flag and iteration
-count, which a failing Newton solve reports, and keeps SciPy out of the import.
+An iterate costs one D outside MINRES, in the merit whose residual and norm the
+returned Solution keeps; every transform is fields._fft2/_ifft2.  MINRES is
+SciPy's sparse.linalg.minres (Paige-Saunders) ported operation for operation:
+bit-identical iterates, SciPy's exit flag and iteration count (which a failing
+Newton solve reports), and no SciPy import.
 The equation is U(1)-equivariant, so i*phi would be an exact null vector of
 the plain Jacobian; one more symmetric bordering row/column anchors the
 phase of the step and keeps the Krylov solves well posed.
@@ -42,6 +43,8 @@ import numpy as np
 from .dirac import apply_dirac, dirac_symbol, project_out_kernel, symbol_modulus
 from .fields import (
     SpinorField,
+    _fft2,
+    _ifft2,
     eigenvector_at_mode,
     first_positive_eigenspinor,
     l2_inner,
@@ -295,7 +298,7 @@ def constant_branch_blocks(u, lam, p, w2, symbol, radius):
     |eta|_inf <= radius, and the blocks, shape (2 radius + 1)^2 x 4 x 4.
     """
     n = u.shape[-1]
-    u_hat = np.fft.fft2(u, norm="ortho")
+    u_hat = _fft2(u, norm="ortho")
     power = (np.abs(u_hat) ** 2).sum(axis=0)
     i0, j0 = np.unravel_index(np.argmax(power), power.shape)
     v = u_hat[:, i0, j0] / math.sqrt(power[i0, j0])
@@ -344,41 +347,38 @@ def solve_at_exponent(
     if l2_norm(phi0) == 0.0:
         raise ValueError("init field is identically zero")
 
-    def merit(v, lm):
-        """Residual norm, norm gap, their hypot, and the residual array itself."""
-        phi = phi0.with_u(v)
-        r = residual_field(phi, lm, p)
-        res = l2_norm(r)
-        gap = lp_norm(phi, p) - 1.0
-        return res, gap, math.hypot(res, gap), r.u
+    def merit(v, lm, dv):
+        """Residual norm, ||v||_p, merit total and residual array of v, lm and dv = D v;
+        the residual is residual_field's, bit for bit, without applying D again."""
+        r = dv - lm * pointwise_power(pointwise_norm(v), p - 2.0) * v
+        res, norm_p = l2_norm(phi0.with_u(r)), lp_norm(phi0.with_u(v), p)
+        return res, norm_p, math.hypot(res, norm_p - 1.0), r
 
     def start(phi):
-        """phi scaled to ||phi||_p = 1, its Rayleigh lambda, and their merit."""
+        """phi scaled to ||phi||_p = 1, its Rayleigh lambda, and their merit: one D."""
         u = phi.u / lp_norm(phi, p)
         du = apply_dirac(phi.with_u(u)).u
         num = kappa * float(np.sum((np.conj(du) * u).sum(axis=0).real))
         lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
-        return (u, lam, *merit(u, lam))
+        return (u, lam, *merit(u, lam, du))
 
-    u, lam, res, gap, total, r = start(phi0)
-    converged = res < tol_solve and abs(gap) < schedule.tol_norm
+    u, lam, res, norm_p, total, r = start(phi0)
+    converged = res < tol_solve and abs(norm_p - 1.0) < schedule.tol_norm
     coarse = None if converged else _coarse_stage(p, phi0, schedule)
     if coarse is not None:
-        u, lam, res, gap, total, r = start(resample(coarse.phi, n))
+        u, lam, res, norm_p, total, r = start(resample(coarse.phi, n))
 
     symbol, m = dirac_symbol(lat, spin, n), 4 * n * n
-    modulus = np.broadcast_to(symbol_modulus(lat, spin, n)[:, :, None], (2, n, n, 2)).ravel()
-    cross, dn = np.empty((n, n)), np.empty((2, n, n), complex)
 
     def spectrum(v):  # (Re, Im) of each mode of fft2(v)/N: the first m floats of a MINRES vector
-        return np.fft.fft2(v, norm="ortho").view(float).ravel()
+        return _fft2(v, norm="ortho").view(float).ravel()
 
     def modes(x):  # the complex (2, N, N) spectrum held in the first m floats of x
         return x[:m].view(complex).reshape(2, n, n)
 
     last_solve = "none"
     for newton_iters in range(schedule.max_newton + 1):
-        if res < tol_solve and abs(gap) < schedule.tol_norm:
+        if res < tol_solve and abs(norm_p - 1.0) < schedule.tol_norm:
             break
         if newton_iters == schedule.max_newton:
             raise ContinuationError(
@@ -386,6 +386,8 @@ def solve_at_exponent(
                 f"{schedule.max_newton} iterations; last MINRES solve: {last_solve}",
                 trace=[],
             )
+        modulus = np.broadcast_to(symbol_modulus(lat, spin, n)[:, :, None], (2, n, n, 2)).ravel()
+        cross, dn = np.empty((n, n)), np.empty((2, n, n), complex)
         absphi = pointwise_norm(u)
         w2 = pointwise_power(absphi, p - 2.0)
         hat = u * pointwise_power(absphi, -1.0)
@@ -405,7 +407,7 @@ def solve_at_exponent(
         columns = np.stack([spectrum(col) for col, _ in borders])
 
         def jac_mv(x):
-            psi = np.fft.ifft2(modes(x), norm="ortho")
+            psi = _ifft2(modes(x), norm="ortho")
             np.einsum("cijk,cijk->ij", hat_parts, psi.view(float).reshape(2, n, n, 2), out=cross)
             np.multiply(lam_g, cross, out=dn)
             psi *= lam_w2
@@ -413,7 +415,7 @@ def solve_at_exponent(
             out = np.empty(x.size)
             out_hat = modes(out)
             np.multiply(symbol, modes(x)[::-1], out=out_hat)
-            out_hat -= np.fft.fft2(psi, norm="ortho")
+            out_hat -= _fft2(psi, norm="ortho")
             out[:m] += x[m:] @ columns
             out[m:] = columns @ x[:m]
             return out
@@ -432,27 +434,29 @@ def solve_at_exponent(
         vals, vecs = np.linalg.eigh(blocks)
         weights = 1.0 / np.maximum(np.abs(vals), BLOCK_FLOOR * shift)
         top = (vecs[:, :2] * weights[:, None]) @ vecs.conj().transpose(0, 2, 1)
+        # Indices of the pair (u_hat(k), conj u_hat(k')) in the complex view of x[:m].
+        window = np.stack([plus, plus + n * n, minus, minus + n * n])
 
         def precond(v):
             y = inv * v
-            z = modes(v).reshape(2, n * n)
-            pair = np.concatenate([z[:, plus], z[:, minus].conj()]).T[:, :, None]
-            modes(y).reshape(2, n * n)[:, plus] = (top @ pair)[:, :, 0].T
+            pair = v[:m].view(complex)[window]
+            np.conjugate(pair[2:], out=pair[2:])
+            y[:m].view(complex)[window[:2]] = (top @ pair.T[:, :, None])[:, :, 0].T
             return y
 
         eta = max(min(1e-4, 0.1 * res), 1e-12)
         x, istop, itn = _minres(jac_mv, b, rtol=eta, precond=precond)
         last_solve = f"exit {istop} ({MINRES_EXITS[istop]}) after {itn} iterations"
-        step, extra = np.fft.ifft2(modes(x), norm="ortho"), x[m:]
+        step, extra = _ifft2(modes(x), norm="ortho"), x[m:]
 
         t = 1.0
         while t >= DAMPING_MIN:
             trial = u + t * step
             trial_lam = lam + t * float(extra[0])
-            t_res, t_gap, t_total, t_r = merit(trial, trial_lam)
-            if t_total <= (1.0 - 1e-4 * t) * total or t_total < 1e-15:
+            t_merit = merit(trial, trial_lam, apply_dirac(phi0.with_u(trial)).u)
+            if t_merit[2] <= (1.0 - 1e-4 * t) * total or t_merit[2] < 1e-15:
                 u, lam = trial, trial_lam
-                res, gap, total, r = t_res, t_gap, t_total, t_r
+                res, norm_p, total, r = t_merit
                 break
             t *= 0.5
         else:
@@ -463,15 +467,15 @@ def solve_at_exponent(
                 trace=[],
             )
 
-    phi = phi0.with_u(u)
-    if spin.is_trivial and abs(p - 2.0) < 1e-12:
-        phi = project_out_kernel(phi)
     if lam <= 0.0:
         raise ContinuationError(
             f"converged to a non-positive branch lambda={lam:.3e} at p={p}", []
         )
     below = {} if coarse is None else {"coarse_newton_iters": sum(coarse.meta.values())}
-    return Solution.of(phi, lam, p, meta={"newton_iters": newton_iters, **below})
+    phi, meta = phi0.with_u(u), {"newton_iters": newton_iters, **below}
+    if spin.is_trivial and abs(p - 2.0) < 1e-12:
+        return Solution.of(project_out_kernel(phi), lam, p, meta=meta)
+    return Solution(phi, lam, p, res, norm_p, meta=meta)
 
 
 def _coarse_stage(p: float, phi: SpinorField, schedule: ContinuationSchedule) -> Solution | None:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpinorField, mode_index_grid, pointwise_norm, squared_twist_grid
+from .fields import SpinorField, _fft2, _ifft2, mode_index_grid, pointwise_norm, squared_twist_grid
 from .lattice import Lattice
 from .report import CheckReport
 
@@ -143,11 +143,11 @@ def integrate_immersion(
     u = -alpha.a.imag  # dx1 coefficient
     v = alpha.a.real  # dx2 coefficient
     # dF pulled back to lattice coordinates, dF_k = U_k ds + V_k dt, stacked over k
-    u_hat = np.fft.fft2(u * g1[0] + v * g1[1])
-    v_hat = np.fft.fft2(u * g2[0] + v * g2[1])
+    u_hat = _fft2(u * g1[0] + v * g1[1])
+    v_hat = _fft2(u * g2[0] + v * g2[1])
     n = u_hat.shape[-1]
     mm, kk = mode_index_grid(n)
-    r = np.fft.ifft2(2j * np.pi * (mm * v_hat - kk * u_hat)).real / lat.det()
+    r = _ifft2(2j * np.pi * (mm * v_hat - kk * u_hat)).real / lat.det()
     # One sum per component, added in component order: a fixed rounding order.
     res_closed = math.sqrt(lat.area / n**2 * sum(float(np.sum(rk**2)) for rk in r))
     if not res_closed <= tol_closed:
@@ -160,7 +160,7 @@ def integrate_immersion(
     lin = np.stack([u_hat[:, 0, 0].real, v_hat[:, 0, 0].real], axis=1) / n**2
     f_hat = (mm * u_hat + kk * v_hat) / (2j * np.pi * denom)
     f_hat[:, 0, 0] = 0.0
-    per = np.fft.ifft2(f_hat).real
+    per = _ifft2(f_hat).real
     F = np.moveaxis(per - per[:, :1, :1], 0, -1).copy()
     ss = np.arange(n)[:, None] / n
     tt = np.arange(n)[None, :] / n
@@ -290,45 +290,47 @@ def count_zeros(phi: SpinorField, lam: float, zero_tol: float = 1e-6) -> ZeroCou
 _NEIGHBOR_CYCLE = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of component-major vector fields (first axis 3), summed in component order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of component-major vector fields, with np.cross's products."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def _cot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cot of the angle between vector fields a, b (last axis 3)."""
-    dots = np.sum(a * b, axis=-1)
-    cross = np.linalg.norm(np.cross(a, b), axis=-1)
-    return dots / np.maximum(cross, 1e-300)
+    """cot of the angle between component-major vector fields a, b."""
+    cross = _cross(a, b)
+    return _dot(a, b) / np.maximum(np.sqrt(_dot(cross, cross)), 1e-300)
 
 
 def discrete_mean_curvature(imm: Immersion):
     """Signed cotangent-formula mean curvature at every grid vertex.
 
-    Returns (h_signed, normals); sign convention H = -(Lap F . n)/2 with the
-    counterclockwise parameter normal (calibration cylinder is positive).
+    Returns (h_signed, normals (N, N, 3)); sign convention H = -(Lap F . n)/2 with
+    the counterclockwise parameter normal (calibration cylinder is positive).
     """
     n = imm.n_grid
-    v = imm.F
+    v = np.moveaxis(imm.F, -1, 0)
     idx = np.arange(-1, n + 1)
-    collar = imm.at(idx[:, None], idx[None, :])  # the grid plus a one-cell collar
-    nbrs = [collar[1 + dj : n + 1 + dj, 1 + dl : n + 1 + dl] for dj, dl in _NEIGHBOR_CYCLE]
-    shape = v.shape[:2]
-    lap = np.zeros_like(v)
-    area = np.zeros(shape)
-    normal = np.zeros_like(v)
-    k = len(nbrs)
-    for i in range(k):
-        p_prev = nbrs[(i - 1) % k]
-        p_i = nbrs[i]
-        p_next = nbrs[(i + 1) % k]
+    collar = np.moveaxis(imm.at(idx[:, None], idx[None, :]), -1, 0)  # grid and one-cell collar
+    nbrs = [collar[:, 1 + dj : n + 1 + dj, 1 + dl : n + 1 + dl] for dj, dl in _NEIGHBOR_CYCLE]
+    lap, area, normal = np.zeros((3, n, n)), np.zeros((n, n)), np.zeros((3, n, n))
+    for p_prev, p_i, p_next in zip(nbrs[-1:] + nbrs[:-1], nbrs, nbrs[1:] + nbrs[:1]):
         cot_a = _cot(v - p_prev, p_i - p_prev)
         cot_b = _cot(v - p_next, p_i - p_next)
-        lap += ((cot_a + cot_b)[..., None]) * (p_i - v)
-        tri_cross = np.cross(p_i - v, p_next - v)
-        area += 0.5 * np.linalg.norm(tri_cross, axis=-1)
+        lap += (cot_a + cot_b) * (p_i - v)
+        tri_cross = _cross(p_i - v, p_next - v)
+        area += 0.5 * np.sqrt(_dot(tri_cross, tri_cross))
         normal += tri_cross
     vertex_area = area / 3.0
-    lap /= np.maximum(2.0 * vertex_area, 1e-300)[..., None]
-    norm_len = np.linalg.norm(normal, axis=-1, keepdims=True)
-    normal = normal / np.maximum(norm_len, 1e-300)
-    h_signed = -0.5 * np.sum(lap * normal, axis=-1)
-    return h_signed, normal
+    lap /= np.maximum(2.0 * vertex_area, 1e-300)
+    normal = normal / np.maximum(np.sqrt(_dot(normal, normal)), 1e-300)
+    h_signed = -0.5 * _dot(lap, normal)
+    return h_signed, np.moveaxis(normal, 0, -1)
 
 
 def _branch_mask(imm: Immersion) -> np.ndarray:
@@ -354,9 +356,9 @@ def _spectral_jacobian(imm: Immersion):
     tt = np.arange(n)[None, :] / n
     v1, v2 = imm.V1[:, None, None], imm.V2[:, None, None]  # periods, one row per component
     per = np.ascontiguousarray(np.moveaxis(imm.F, -1, 0)) - ss * v1 - tt * v2
-    f_hat = np.fft.fft2(per)
-    d_s = np.fft.ifft2(2j * np.pi * mm * f_hat).real + v1
-    d_t = np.fft.ifft2(2j * np.pi * kk * f_hat).real + v2
+    f_hat = _fft2(per)
+    d_s = _ifft2(2j * np.pi * mm * f_hat).real + v1
+    d_t = _ifft2(2j * np.pi * kk * f_hat).real + v2
     # x = G^T (s, t), G rows = generators, so dF/dx = [d_s F, d_t F] (G^T)^{-1}
     g_inv_t = np.linalg.inv(imm.lat.generator_matrix()).T
     return np.stack([np.moveaxis(d, 0, -1) for d in (d_s, d_t)], axis=-1) @ g_inv_t

@@ -232,22 +232,41 @@ def test_readme_commands_run_with_scipy_unimportable(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("plus", [0.0, 1e100], ids=["zero", "quartic-overflow"])
+@pytest.fixture(scope="module")
+def readme_solution(tmp_path_factory):
+    """The solution.json container that the README solve writes."""
+    from spintorus.cli import main
+
+    out = tmp_path_factory.mktemp("readme")
+    argv = ["--v1", "1 0", "--v2", "0 2", "--eps", "+1 -1", "--grid", "32", "--seed", "1"]
+    assert main(["solve", *argv, "--out", str(out)]) == 0
+    return json.loads((out / "solution.json").read_text())
+
+
+@pytest.mark.parametrize("spinor", ["zero", "quartic-overflow", "underflow"])
 @pytest.mark.parametrize("command", ["check --solution", "surface --solution", "solve --resume"])
-def test_surface_rejects_zero_spinor(tmp_path, command, plus):
-    """The zero spinor, and a finite one whose |phi|^4 overflows, are refused up front."""
+def test_surface_rejects_zero_spinor(tmp_path, command, spinor, readme_solution):
+    """The zero spinor, a finite one whose |phi|^4 overflows, and a nonzero one whose
+    |phi|^4 underflows to 0 (the README solution scaled by 1e-100) are refused up front."""
     from spintorus.fields import SpinorField
     from spintorus.lattice import SpinStructure, make_lattice
     from spintorus.solver import Solution
 
-    u = np.zeros((2, 8, 8), complex)
-    u[0] = plus
-    sol = Solution(
-        phi=SpinorField.from_array(make_lattice((1, 0), (0, 1)), SpinStructure(1, -1), u),
-        lam=1.0, p=4.0, residual=0.0, norm_p=0.0,
-    )
+    if spinor == "underflow":
+        data = dict(readme_solution)
+        for key in ("plus", "minus"):
+            comp = np.frombuffer(base64.b64decode(data[key]), dtype="<c16") * 1e-100
+            assert np.abs(comp).max() > 0.0
+            data[key] = base64.b64encode(comp.astype("<c16").tobytes()).decode("ascii")
+    else:
+        u = np.zeros((2, 8, 8), complex)
+        u[0] = {"zero": 0.0, "quartic-overflow": 1e100}[spinor]
+        data = Solution(
+            phi=SpinorField.from_array(make_lattice((1, 0), (0, 1)), SpinStructure(1, -1), u),
+            lam=1.0, p=4.0, residual=0.0, norm_p=0.0,
+        ).to_dict()
     path = tmp_path / "phi.json"
-    path.write_text(json.dumps(sol.to_dict()))
+    path.write_text(json.dumps(data))
     result = run_cli(*command.split(), str(path), "--out", str(tmp_path), check=False)
     assert result.returncode == 2
     assert "phi.json: plus, minus:" in result.stderr

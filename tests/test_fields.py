@@ -3,6 +3,8 @@ import pytest
 
 from spintorus.fields import (
     SpinorField,
+    _fft2,
+    _ifft2,
     l2_inner,
     l2_norm,
     lp_norm,
@@ -146,3 +148,13 @@ def test_resample_commutes_with_dirac_on_the_nyquist_modes(rng, spin):
 def test_resample_rejects_an_odd_grid(rng):
     with pytest.raises(ValueError, match="even"):
         resample(random_band_limited(SQ, NT, 8, rng), 7)
+
+
+@pytest.mark.parametrize("norm", [None, "ortho", "forward"])
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+def test_fft_pair_is_numpys_fft2_bit_for_bit(rng, n, norm):
+    for shape in ((n, n), (2, n, n), (3, n, n)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for x in (a, a.real):  # the Weierstrass layer transforms real arrays
+            assert np.array_equal(_fft2(x, norm=norm), np.fft.fft2(x, norm=norm))
+            assert np.array_equal(_ifft2(x, norm=norm), np.fft.ifft2(x, norm=norm))

@@ -122,6 +122,20 @@ def test_spectrum_scaling():
     assert inv_a == pytest.approx(inv_b, rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [1e-100, 1e-12, 1.0, 1e12, 1e100])
+@pytest.mark.parametrize("spin", SpinStructure.all_four(), ids=lambda s: f"{s.eps1:+d}{s.eps2:+d}")
+def test_spectrum_levels_at_every_scale(spin, s):
+    """Levels merge by relative radius and only radius 0 is the kernel, so the 1:2
+    rectangle scaled by s has the multiplicities of s = 1 and its values over s."""
+    lat, ref_lat = make_lattice((s, 0), (0, 2 * s)), make_lattice((1, 0), (0, 2))
+    got, ref = closed_form_spectrum(lat, spin, 12), closed_form_spectrum(ref_lat, spin, 12)
+    assert [m for _, m in got] == [m for _, m in ref]
+    for (v, _), (w, _) in zip(got, ref):
+        assert v == pytest.approx(w / s, rel=1e-12, abs=0.0)
+    lam1 = first_positive_eigenvalue(lat, spin)
+    assert lam1 == pytest.approx(first_positive_eigenvalue(ref_lat, spin) / s, rel=1e-12)
+
+
 def test_sphere_lambda_min_values():
     assert sphere_lambda_min(2) == pytest.approx(2 * math.sqrt(math.pi), abs=1e-15)
     assert sphere_lambda_min(3) == pytest.approx(1.5 * (2 * math.pi**2) ** (1 / 3), rel=1e-14)

@@ -521,6 +521,22 @@ def test_converged_init_takes_no_step_and_no_coarse_stage():
     assert sol.meta == {"newton_iters": 0}
 
 
+def test_converged_init_costs_one_dirac_application(monkeypatch):
+    from spintorus import solver
+
+    init, calls = constant_solution(SKEW, NT, 64).phi, []
+    monkeypatch.setattr(solver, "apply_dirac", lambda phi: calls.append(phi) or apply_dirac(phi))
+    solve_at_exponent(4.0, init)
+    assert len(calls) == 1
+
+
+def test_returned_residual_and_norm_are_those_of_phi_bit_for_bit():
+    # They come from the last merit evaluation, not from a recomputation.
+    sol = solve_at_exponent(4.0, low_mode_init(64, 1))
+    assert sol.residual == l2_norm(residual_field(sol.phi, sol.lam, sol.p))
+    assert sol.norm_p == lp_norm(sol.phi, sol.p)
+
+
 @pytest.mark.parametrize(
     "init",
     [
