@@ -139,3 +139,9 @@ with tempfile.TemporaryDirectory() as tmp:
         emit(f"count_zeros/{name}", count_zeros(sol.phi, sol.lam))
         obj, sidecar = export_mesh(imm, (2, 1), Path(tmp) / f"{name}.obj", lam=sol.lam)
         emit(f"export_mesh/{name}", Path(obj).read_bytes(), Path(sidecar).read_bytes())
+    # An N = 96 skew constant surface: its coordinates repeat across grid lines and copies.
+    sol = constant_solution(lat, SpinStructure(-1, 1), 96)
+    imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
+    for k1, k2 in [(3, 1), (2, 2)]:
+        obj, sidecar = export_mesh(imm, (k1, k2), Path(tmp) / "skew96.obj", lam=sol.lam)
+        emit(f"export_mesh/skew96/{k1}x{k2}", Path(obj).read_bytes(), Path(sidecar).read_bytes())

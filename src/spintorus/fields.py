@@ -222,10 +222,13 @@ def random_band_limited(
 def resample(phi: SpinorField, m: int) -> SpinorField:
     """phi on an M x M grid, its Fourier coefficients truncated or zero-padded; the smaller
     grid's Nyquist index h holds the mode -h, as mode_index_grid labels it, so D commutes."""
-    half = min(phi.n_grid, m) // 2
-    span = np.r_[0:half, -half:0]
+    n, half = phi.n_grid, min(phi.n_grid, m) // 2
+    src = _fft2(phi.u, norm="forward")
     coeffs = np.zeros((2, m, m), dtype=complex)
-    coeffs[:, span[:, None], span] = _fft2(phi.u, norm="forward")[:, span[:, None], span]
+    corners = [(slice(0, half),) * 2, (slice(n - half, n), slice(m - half, m))]  # modes >= 0, < 0
+    for rows_src, rows_dst in corners:
+        for cols_src, cols_dst in corners:
+            coeffs[:, rows_dst, cols_dst] = src[:, rows_src, cols_src]
     return phi.with_u(_ifft2(coeffs, norm="forward"))
 
 

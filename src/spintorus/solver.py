@@ -245,8 +245,11 @@ def _minres(matvec, b, rtol, precond):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        root = np.linalg.norm([gbar, dbar])
-        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        # SciPy's np.linalg.norm (also at ynorm): the same dot and root, minus its slow wrapper.
+        pair = np.array([gbar, dbar])
+        root = math.sqrt(pair.dot(pair))
+        pair = np.array([gbar, beta])
+        gamma = max(math.sqrt(pair.dot(pair)), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
 
@@ -260,7 +263,7 @@ def _minres(matvec, b, rtol, precond):
 
         # Stopping tests on ||r|| / (||A|| ||x||) and ||Ar|| / (||A|| ||r||).
         anorm = math.sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
+        ynorm = math.sqrt(x.dot(x))
         test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = np.inf if anorm == 0 else root / anorm
         if istop == 0:
@@ -362,9 +365,14 @@ def solve_at_exponent(
         lam = num / (kappa * float(np.sum((np.abs(u) ** 2).sum(axis=0) ** (p / 2.0))))
         return (u, lam, *merit(u, lam, du))
 
+    def unmet():
+        """The stopping criteria the iterate fails, with values and tolerances; "" if none."""
+        gaps = [("residual", res, "tol_solve", tol_solve),
+                ("|norm_p - 1|", abs(norm_p - 1.0), "tol_norm", schedule.tol_norm)]
+        return ", ".join(f"{c}={g:.3e} >= {k}={t:.3g}" for c, g, k, t in gaps if not g < t)
+
     u, lam, res, norm_p, total, r = start(phi0)
-    converged = res < tol_solve and abs(norm_p - 1.0) < schedule.tol_norm
-    coarse = None if converged else _coarse_stage(p, phi0, schedule)
+    coarse = _coarse_stage(p, phi0, schedule) if unmet() else None
     if coarse is not None:
         u, lam, res, norm_p, total, r = start(resample(coarse.phi, n))
 
@@ -378,12 +386,12 @@ def solve_at_exponent(
 
     last_solve = "none"
     for newton_iters in range(schedule.max_newton + 1):
-        if res < tol_solve and abs(norm_p - 1.0) < schedule.tol_norm:
+        if not unmet():
             break
         if newton_iters == schedule.max_newton:
             raise ContinuationError(
-                f"Newton did not converge at p={p}: residual={res:.3e} after "
-                f"{schedule.max_newton} iterations; last MINRES solve: {last_solve}",
+                f"Newton did not converge at p={p} after {schedule.max_newton} iterations: "
+                f"{unmet()}; last MINRES solve: {last_solve}",
                 trace=[],
             )
         modulus = np.broadcast_to(symbol_modulus(lat, spin, n)[:, :, None], (2, n, n, 2)).ravel()
@@ -461,7 +469,7 @@ def solve_at_exponent(
             t *= 0.5
         else:
             raise ContinuationError(
-                f"Newton stalled at p={p}: residual={res:.3e}, damping exhausted "
+                f"Newton stalled at p={p}: {unmet()}, damping exhausted "
                 "(singular Jacobian near kernel directions: perturb the init); "
                 f"last MINRES solve: {last_solve}",
                 trace=[],

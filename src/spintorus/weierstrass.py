@@ -49,6 +49,8 @@ CONFORMALITY_TOL = 1e-8
 PERIOD_TOL = 1e-10
 #: The cmc check skips vertices within this many grid cells of a branch point.
 BRANCH_MARGIN = 3
+#: Lines per block of the OBJ writer: bounds its buffers, not its output.
+_BLOCK = 4096
 
 
 class ClosednessError(RuntimeError):
@@ -433,6 +435,25 @@ def verify_immersion(
 # Mesh export
 
 
+def _repr_table(values: np.ndarray):
+    """(table, ids): the repr of each distinct float in `values`, keyed on its bits (so
+    -0.0 is not 0.0), as uint8 rows padded with zero bytes, and each value's row."""
+    keys, ids = np.unique(values.view(np.uint64), return_inverse=True)
+    table = np.zeros(len(keys), "S24")  # 24 bytes hold the longest float64 repr
+    for i in range(0, len(keys), _BLOCK):
+        table[i : i + _BLOCK] = list(map(repr, keys[i : i + _BLOCK].view(float).tolist()))
+    return table.view(np.uint8).reshape(-1, 24), ids
+
+
+def _write_lines(fh, tag: str, fields) -> None:
+    """Write one line per id: tag, then for each (table, ids) field a space and the table
+    row at its id, then a newline; the zero bytes that pad table rows are dropped."""
+    n = len(fields[0][1])
+    head, space, newline = (np.full((n, 1), ord(c), np.uint8) for c in tag + " \n")
+    line = np.hstack([head, *(c for table, ids in fields for c in (space, table[ids])), newline])
+    fh.write(line[line != 0].tobytes().decode("ascii"))
+
+
 def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None = None):
     """Write a triangulated OBJ tiling plus a JSON sidecar.
 
@@ -440,6 +461,10 @@ def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None
     closes the seams), two counterclockwise triangles per grid cell, 1-based
     OBJ indices.  The sidecar records periods, H, lambda, diagnostics, and
     branch points.  Returns (obj_path, sidecar_path).
+
+    Each distinct coordinate of a column is formatted once, as its shortest repr.
+    That is fast because tilings repeat coordinates bit for bit (a constant-branch
+    surface is a round cylinder along z); the bytes do not depend on it.
     """
     k1, k2 = copies
     if k1 < 1 or k2 < 1:
@@ -447,24 +472,27 @@ def export_mesh(imm: Immersion, copies: tuple[int, int], path, lam: float | None
     n = imm.n_grid
     rows = k1 * n + 1
     cols = k2 * n + 1
-    verts = imm.at(np.arange(rows)[:, None], np.arange(cols)[None, :]).reshape(rows, 3 * cols)
-    # Cell (a, b) gets triangles (v00, v10, v11) and (v00, v11, v01), where
-    # v00 = a cols + b + 1 is the 1-based id of grid vertex (a, b).
-    v00 = np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)[None, :] + 1
-    faces = np.stack(
-        [v00, v00 + cols, v00 + cols + 1, v00, v00 + cols + 1, v00 + 1], axis=-1
-    ).reshape(rows - 1, -1)
-    # One %-format per grid row; %r of a Python float is its shortest repr.
-    v_row = "v %r %r %r\n" * cols
-    f_row = "f %d %d %d\n" * (2 * (cols - 1))
+    verts = imm.at(np.arange(rows)[:, None], np.arange(cols)[None, :]).reshape(-1, 3)
+    tables = [_repr_table(verts[:, k]) for k in range(3)]
+    # Row i of digits: the decimal digits of vertex id i, left-padded with zero bytes.
+    rest = np.arange(rows * cols + 1)
+    digits = np.zeros((len(rest), len(str(rows * cols))), np.uint8)
+    for k in range(digits.shape[1] - 1, -1, -1):
+        digits[:, k] = np.where(rest > 0, rest % 10 + 48, 0)
+        rest //= 10
+    band = max(1, _BLOCK // (2 * (cols - 1)))  # cell rows per block of face lines
     obj_path = str(path)
     try:
         with open(obj_path, "w", encoding="utf-8") as fh:
             fh.write("# spintorus periodic immersion mesh\n")
-            for row in verts:
-                fh.write(v_row % tuple(row.tolist()))
-            for row in faces:
-                fh.write(f_row % tuple(row.tolist()))
+            for at in range(0, rows * cols, _BLOCK):
+                _write_lines(fh, "v", [(table, ids[at : at + _BLOCK]) for table, ids in tables])
+            for a in range(0, rows - 1, band):
+                # Cell (a, b) gets triangles (v00, v10, v11) and (v00, v11, v01), where
+                # v00 = a cols + b + 1 is the 1-based id of grid vertex (a, b).
+                v00 = np.arange(a, min(a + band, rows - 1))[:, None] * cols + np.arange(1, cols)
+                tri = np.stack([v00, v00 + cols, v00 + cols + 1, v00, v00 + cols + 1, v00 + 1], -1)
+                _write_lines(fh, "f", [(digits, ids) for ids in tri.reshape(-1, 3).T])
         sidecar_path = str(Path(obj_path).with_suffix(".json"))
         sidecar = {
             **imm.summary(),

@@ -322,6 +322,19 @@ def test_newton_accepts_the_state_reached_on_its_last_allowed_step():
         solve_at_exponent(4.0, init, schedule=ContinuationSchedule(max_newton=k - 1))
 
 
+def test_newton_failure_names_the_unmet_norm_criterion():
+    # On the square Newton converges only linearly: after the default 40 steps
+    # the residual meets tol_solve and only the norm gap misses tol_norm.
+    spin = SpinStructure(1, -1)
+    init = first_positive_eigenspinor(SQ, spin, 64)
+    init = init + 0.02 * random_band_limited(SQ, spin, 64, np.random.default_rng(1))
+    with pytest.raises(ContinuationError) as err:
+        solve_at_exponent(4.0, init)
+    message = str(err.value)
+    assert "|norm_p - 1|=" in message and "tol_norm=1e-10" in message
+    assert "residual=" not in message
+
+
 class _NewtonSystem(Exception):
     """Raised in place of the first MINRES solve, carrying its operator."""
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,14 +240,64 @@ def _per_line_obj(imm, copies):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("copies", [(3, 1), (2, 2)])
-def test_export_mesh_bytes_match_per_line_writer(tmp_path, copies):
-    lat = make_lattice((1, 0), (0.3, 1.1))
-    sol = constant_solution(lat, SpinStructure(-1, 1), 16)
-    imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
-    obj_path, _ = export_mesh(imm, copies, tmp_path / "skew.obj", lam=sol.lam)
+def _skew_surface(n=16):
+    sol = constant_solution(make_lattice((1, 0), (0.3, 1.1)), SpinStructure(-1, 1), n)
+    return integrate_immersion(build_alpha(sol.phi), H=sol.lam)
+
+
+def _assert_bytes_match_per_line_writer(imm, copies, path):
+    obj_path, _ = export_mesh(imm, copies, path)
     with open(obj_path, "rb") as fh:
-        assert fh.read() == _per_line_obj(imm, copies)
+        text = fh.read()
+    assert text == _per_line_obj(imm, copies)
+    return text.decode("ascii")
+
+
+@pytest.mark.parametrize("copies", [(1, 1), (2, 2), (3, 1), (1, 3)])
+def test_export_mesh_bytes_match_per_line_writer(tmp_path, copies):
+    # 289, 1089 and 833 vertices: the ids cross 10, 100 and 1000.
+    _assert_bytes_match_per_line_writer(_skew_surface(), copies, tmp_path / "skew.obj")
+
+
+def test_export_mesh_bytes_match_without_repeated_coordinates(tmp_path, rng):
+    imm = _skew_surface()
+    noisy = dataclasses.replace(
+        imm, F=imm.F + 1e-3 * rng.standard_normal(imm.F.shape),
+        V1=np.array([0.7123, -0.2291, 0.3187]), V2=np.array([0.1377, 0.9041, -0.4423]),
+    )
+    text = _assert_bytes_match_per_line_writer(noisy, (3, 1), tmp_path / "noisy.obj")
+    coords = [line.split()[1:] for line in text.splitlines() if line.startswith("v ")]
+    assert len({c for line in coords for c in line}) == 3 * len(coords)
+
+
+PLANTED = [-0.0, 0.0, 1e-05, 1e16, 5e-324, -2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("copies", [(1, 1), (2, 2)])
+def test_export_mesh_bytes_match_on_planted_coordinates(tmp_path, copies):
+    imm = _skew_surface(8)
+    F = imm.F.copy()
+    F.reshape(-1)[5 * np.arange(len(PLANTED))] = PLANTED  # x, z, y, x, z, y, x, z
+    # Periods of -0.0 in x keep the planted -0.0 there on every copy.
+    planted = dataclasses.replace(imm, F=F, V1=np.array([-0.0, 0.0, 0.25]),
+                                  V2=np.array([-0.0, 0.5, -0.0]))
+    text = _assert_bytes_match_per_line_writer(planted, copies, tmp_path / "planted.obj")
+    assert {repr(value) for value in PLANTED} <= set(text.split())
+
+
+def test_export_mesh_peak_memory_is_a_few_vertex_arrays(tmp_path):
+    n = 160
+    sol = constant_solution(make_lattice((1, 0), (0, 1.3)), NT, n)
+    imm = integrate_immersion(build_alpha(sol.phi), H=sol.lam)
+    vertex_bytes = (3 * n + 1) * (n + 1) * 3 * 8
+    tracemalloc.start()
+    try:
+        export_mesh(imm, (3, 1), tmp_path / "cyl.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * vertex_bytes
 
 
 def test_exported_cylinder_matches_analytic_model(tmp_path):
