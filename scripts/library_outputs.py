@@ -16,7 +16,9 @@ of this script prints the same lines on both:
     diff base.txt head.txt
 
 It uses only public names of the package and finishes in a few seconds.  A
-solve that fails is hashed by its error message.
+solve that fails is hashed by its error message, and so is any input of the
+`long`, `unimodular` and `aliased` lines that a tree refuses (older trees
+refuse the long rectangles; newer ones the aliased first mode).
 """
 
 import hashlib
@@ -53,12 +55,19 @@ def newton_steps(sol):
     return sum(stage["newton_iters"] for stage in sol.trace) if sol.trace else sol.meta["newton_iters"]
 
 
+def caught(fn, *args, **kwargs):
+    """fn's result, or the message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def emit_solve(name, fn, *args, **kwargs):
     """Hash fn's Solution as its file text, or the message of the error it raised."""
-    try:
-        sol = fn(*args, **kwargs)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        emit(name, f"{type(exc).__name__}: {exc}", steps="failed")
+    sol = caught(fn, *args, **kwargs)
+    if isinstance(sol, str):
+        emit(name, sol, steps="failed")
     else:
         emit(name, solution(sol), steps=newton_steps(sol))
 
@@ -91,6 +100,21 @@ for i, (x, y) in enumerate(TORI):
     # Newton converges only linearly on p4/3 (a 4-fold first level) and p4/4 (a
     # bifurcation exponent of the constant branch): both end steps=failed.
     emit_solve(f"solve_at_exponent/p4/{i}", solve_at_exponent, 4.0, init)
+
+# Rectangles 1 x 2000, whose first mode lies across the short side.
+for i, (v1, v2) in enumerate([((1, 0), (0, 2000)), ((2000, 0), (0, 1))]):
+    emit(f"closed_form_spectrum/long/{i}",
+         *(caught(closed_form_spectrum, make_lattice(v1, v2), s, 12) for s in SPINS))
+# TORI[4] in the basis 7 gamma1 + 3 gamma2, 2 gamma1 + gamma2, with the spin signs
+# eps1 eps2, eps2 that chi(a gamma1 + b gamma2) = eps1^a eps2^b carries to it.
+g1, g2 = make_lattice((1, 0), TORI[4]).generator_matrix()
+image = make_lattice(7 * g1 + 3 * g2, 2 * g1 + g2)
+emit("closed_form_spectrum/unimodular", *(caught(
+    closed_form_spectrum, image, SpinStructure(s.eps1 * s.eps2, s.eps2), 12) for s in SPINS))
+# (1, 0), (0.3, 1.1) with gamma1 -> gamma1 + 5 gamma2: its first mode (-5, -1) lies
+# outside the N = 8 grid.
+emit("constant_solution/aliased", caught(
+    lambda: solution(constant_solution(make_lattice((2.5, 5.5), (0.3, 1.1)), SPINS[0], 8))))
 
 # Inits on the modes |m|, |k| <= 3 at N = 64, as `solve --resume` polishes them: they hold
 # nothing outside the N/2 grid's modes, so the solver may take them to N/2 first.

@@ -27,7 +27,7 @@ from .functional import (
     MaximizeOptions,
     mu_curve,
 )
-from .lattice import InvalidLatticeError, closed_form_spectrum, first_positive_eigenvalue
+from .lattice import closed_form_spectrum, first_positive_eigenvalue
 from .report import SCHEMA_VERSION, CheckReport, dump_report, threshold_verdict
 from .solver import (
     ContinuationError,
@@ -325,9 +325,6 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
-    except (ConfigError, InvalidLatticeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ContinuationError, DegenerateFieldError, IterationLimitError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         trace = getattr(exc, "trace", None)
@@ -337,6 +334,9 @@ def main(argv=None) -> int:
     except ClosednessError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK
+    except ValueError as exc:  # ConfigError, InvalidLatticeError, a grid too small for a mode
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

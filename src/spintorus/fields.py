@@ -175,6 +175,9 @@ def pure_mode_field(
     a_minus: complex,
 ) -> SpinorField:
     """Single Fourier mode (m, k) with the given component amplitudes."""
+    if not -(n // 2) <= min(m, k) <= max(m, k) <= (n - 1) // 2:  # else it wraps onto another mode
+        raise ValueError(f"n_grid: mode ({m}, {k}) lies outside the N = {n} grid's indices "
+                         f"[{-(n // 2)}, {(n - 1) // 2}]; a larger n_grid holds it")
     j = np.arange(n)
     wave = np.exp(2j * np.pi * (np.add.outer(m * j, k * j)) / n)
     return SpinorField(lat, spin, a_plus * wave, a_minus * wave)

@@ -25,16 +25,15 @@ from fractions import Fraction
 import numpy as np
 
 
-#: Largest half-width of the index windows searched for the shortest modes.  A
-#: torus that a grid of at most 512 points resolves needs far less; a skewed one
-#: that needs more ends in InvalidLatticeError instead of exhausting memory.
-MAX_HALF_WIDTH = 512
+#: Most modes one shortest-mode search may enumerate, (2 * 512 + 1)^2: a torus whose
+#: shortest modes need more ends in InvalidLatticeError instead of exhausting memory.
+_MAX_MODES = (2 * 512 + 1) ** 2
 
 
 class InvalidLatticeError(ValueError):
     """Generators that span no usable lattice: not pairs of finite real numbers,
-    of an area that overflows a double, not positively oriented, or so skewed
-    that no mode window up to MAX_HALF_WIDTH certifies its shortest modes."""
+    of an area that overflows a double, not positively oriented, or whose shortest
+    modes need more than _MAX_MODES modes enumerated (a memory bound, not a skew one)."""
 
 
 @dataclass(frozen=True)
@@ -155,36 +154,35 @@ def closed_form_spectrum(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    for _, _, radii, certified in _mode_windows(lat, spin):
-        entries = _aggregate_levels(radii.ravel())
+    for radius, radii, _, _ in _modes_below(lat, spin):
+        entries = _aggregate_levels(radii)
         # Candidate order: by |value|, negatives first on ties.
         entries.sort(key=lambda e: (abs(e[0]), e[0]))
-        if len(entries) >= count:
-            selected = entries[:count]
-            if max(abs(v) for v, _ in selected) / (2.0 * math.pi) < certified:
-                return sorted(selected)
+        selected = entries[:count]
+        # The last selected level must end below radius, or the cut there splits it.
+        if len(selected) == count and abs(selected[-1][0]) * (1 + 1e-12) < 2.0 * math.pi * radius:
+            return sorted(selected)
 
 
-def _mode_windows(lat: Lattice, spin: SpinStructure):
-    """Centered index windows (m, k) of doubling half-width h, each yielded with
-    its mode radii |xi| and the radius h / max|gamma_i| below which it holds
-    every mode.
-
-    For |xi| < h / max|gamma_i|: |m + t1| = |<xi, gamma1>| <= |xi| |gamma1| < h,
-    so |m| < h + 1/2, and |m| <= h as m and h are integers; likewise for k.
-    """
-    gen_norm = max(math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
-    half_width = 4
-    while half_width <= MAX_HALF_WIDTH:
-        r = np.arange(-half_width, half_width + 1)
-        mm, kk = np.meshgrid(r, r, indexing="ij")
+def _modes_below(lat: Lattice, spin: SpinStructure):
+    """For R = 4 / max|gamma_i| * 2^j, j = 0, 1, ..., yield R, |xi|, m and k of
+    every mode with |xi| < R, sorted by (|xi|, m, k).  The box |m| <= R |gamma1| + 1/2,
+    |k| <= R |gamma2| + 1/2 holds them, as |m + t1| = |<xi, gamma1>| <= |xi| |gamma1|
+    (likewise for k); its sides follow the generators, so a long torus costs a thin box."""
+    norms = (math.hypot(*lat.gamma1), math.hypot(*lat.gamma2))
+    radius = 4.0 / max(norms)
+    while True:
+        hm, hk = (math.floor(radius * norm + 0.5) for norm in norms)
+        if (2 * hm + 1) * (2 * hk + 1) > _MAX_MODES:
+            raise InvalidLatticeError(f"lattice: generators {lat.gamma1}, {lat.gamma2} need "
+                                      f"more than {_MAX_MODES} modes to find their shortest")
+        mm, kk = np.meshgrid(np.arange(-hm, hm + 1), np.arange(-hk, hk + 1), indexing="ij")
         xi = dual_modes(lat, spin, mm, kk)
-        yield mm, kk, np.hypot(xi[..., 0], xi[..., 1]), half_width / gen_norm
-        half_width *= 2
-    raise InvalidLatticeError(
-        f"lattice: generators {lat.gamma1}, {lat.gamma2} are too skewed: no mode "
-        f"window of half-width <= {MAX_HALF_WIDTH} certifies its shortest modes"
-    )
+        radii = np.hypot(xi[..., 0], xi[..., 1])
+        inside = radii < radius
+        order = np.lexsort((kk[inside], mm[inside], radii[inside]))
+        yield radius, radii[inside][order], mm[inside][order], kk[inside][order]
+        radius *= 2.0
 
 
 def _aggregate_levels(radii: np.ndarray) -> list[tuple[float, int]]:
@@ -215,12 +213,11 @@ def first_positive_eigenvalue(lat: Lattice, spin: SpinStructure) -> float:
 
 
 def first_eigenmode(lat: Lattice, spin: SpinStructure) -> tuple[int, int]:
-    """Integer index (m, k) of a shortest nonzero mode, deterministic tie-break."""
-    for mm, kk, radii, certified in _mode_windows(lat, spin):
-        nonzero = radii > 0.0
-        r_min, m, k = min(zip(radii[nonzero], mm[nonzero], kk[nonzero]))
-        if r_min < certified:
-            return int(m), int(k)
+    """Integer index (m, k) of a shortest nonzero mode, least (|xi|, m, k)."""
+    for _, radii, mm, kk in _modes_below(lat, spin):
+        nonzero = np.flatnonzero(radii)
+        if nonzero.size:
+            return int(mm[nonzero[0]]), int(kk[nonzero[0]])
 
 
 def sphere_lambda_min(n: int) -> float:

@@ -492,8 +492,8 @@ sys.exit(main(["spectrum", "--v1", "1 0", "--v2", "0 1e-9", "--eps", "+1 -1",
 
 def test_very_skewed_torus_exits_2_naming_lattice(tmp_path):
     # Its first mode has |xi| ~ 5e8.  The address space is capped at 1 GiB so
-    # that a mode-window search without bound ends in MemoryError at once
-    # instead of exhausting the machine's memory.
+    # that a shortest-mode search without its mode-count bound ends in
+    # MemoryError at once instead of exhausting the machine's memory.
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     result = subprocess.run(
         [sys.executable, "-c", SKEWED_TORUS_SCRIPT, str(tmp_path)],
@@ -501,6 +501,34 @@ def test_very_skewed_torus_exits_2_naming_lattice(tmp_path):
     )
     assert result.returncode == 2, result.stderr[-2000:]
     assert "configuration error: lattice: generators" in result.stderr
+
+
+
+@pytest.mark.parametrize("v1, v2, eps", [("1 0", "0 2000", "-1 +1"), ("2000 0", "0 1", "+1 -1")])
+def test_long_rectangle_spectrum_exits_0_with_lambda1_pi(tmp_path, v1, v2, eps):
+    """lambda1+ = pi at xi = (+-1/2, 0), found in a search box 3 indices wide and
+    about 2000 long, where a square box would hold about 2000^2 modes."""
+    from spintorus.cli import EXIT_OK, main
+
+    argv = ["--v1", v1, "--v2", v2, "--eps", eps, "--out", str(tmp_path)]
+    assert main(["spectrum", *argv]) == EXIT_OK
+    spec = json.loads((tmp_path / "spectrum_report.json").read_text())["spectrum"]
+    assert spec["lambda1_plus"] == pytest.approx(math.pi, rel=1e-12)
+    assert spec["lambda1_sqrt_area"] == pytest.approx(math.pi * math.sqrt(2000), rel=1e-12)
+
+
+@pytest.mark.parametrize("command, v1", [("solve", "2.5 5.5"), ("mu-curve", "4 11")])
+def test_first_mode_outside_the_grid_exits_2_naming_n_grid(tmp_path, capsys, command, v1):
+    """(2.5, 5.5) and (4, 11) are gamma1 + 5 gamma2 and gamma1 + 10 gamma2 with
+    gamma1 = (1, 0), gamma2 = (0.3, 1.1): their first modes (-5, -1) and (-10, -1)
+    lie outside the N = 8 and N = 16 grids, which would wrap them onto other modes."""
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    grid = {"solve": "8", "mu-curve": "16"}[command]
+    argv = ["--v1", v1, "--v2", "0.3 1.1", "--eps", "+1 +1", "--grid", grid, "--out", str(tmp_path)]
+    assert main([command, *argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("configuration error: n_grid: mode (-")
+    assert not list(tmp_path.iterdir())
 
 
 HEADER_DEFECTS = {

@@ -14,6 +14,7 @@ from spintorus.fields import (
     lp_norm,
     pointwise_norm,
     pointwise_power,
+    pure_mode_field,
     random_band_limited,
     resample,
     squared_twist_grid,
@@ -416,6 +417,24 @@ def test_fourier_newton_operator_is_the_symmetric_bordered_jacobian(monkeypatch,
 def _real_rows(grid):
     """An (N, N) per-mode array repeated over the (component, Re/Im) rows of a MINRES vector."""
     return np.broadcast_to(grid[:, :, None], (2, *grid.shape, 2)).ravel()
+
+
+def test_constant_solution_refuses_a_first_mode_outside_the_grid():
+    """(2.5, 5.5), (0.3, 1.1) is (1, 0), (0.3, 1.1) with gamma1 -> gamma1 + 5 gamma2.  Its
+    first mode (-5, -1) lies outside the N = 8 grid's indices, where it would wrap onto
+    a mode of another eigenvalue; N = 12 holds it."""
+    lat, trivial = make_lattice((2.5, 5.5), (0.3, 1.1)), SpinStructure.trivial()
+    reduced = make_lattice((1, 0), (0.3, 1.1))
+    with pytest.raises(ValueError, match=r"^n_grid: mode \(-5, -1\) .* N = 8 grid"):
+        constant_solution(lat, trivial, 8)
+    sol = constant_solution(lat, trivial, 12)
+    assert sol.meta["mode"] == [-5, -1]
+    assert sol.residual < 1e-12
+    assert sol.lam == pytest.approx(constant_solution(reduced, trivial, 8).lam, rel=1e-12)
+    pure_mode_field(lat, trivial, 8, -4, 3, 1.0, 0.0)  # the grid's extreme indices
+    for m, k in [(4, 0), (0, -5)]:
+        with pytest.raises(ValueError, match=f"^n_grid: mode \\({m}, {k}\\)"):
+            pure_mode_field(lat, trivial, 8, m, k, 1.0, 0.0)
 
 
 def _window(u, radius):

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from spintorus.dirac import apply_dirac, dirac_spectrum_numeric
 from spintorus.fields import SpinorField, l2_inner, l2_norm, mode_vectors
 from spintorus.functional import functional_Fq
-from spintorus.lattice import Lattice, SpinStructure, closed_form_spectrum
+from spintorus.lattice import (
+    Lattice,
+    SpinStructure,
+    closed_form_spectrum,
+    dual_modes,
+    first_eigenmode,
+    first_positive_eigenvalue,
+)
 from spintorus.solver import Solution, constant_solution
 from spintorus.weierstrass import build_alpha, integrate_immersion, verify_immersion
 
@@ -175,3 +182,39 @@ def test_closed_form_spectrum_matches_dense_oracle(lat, spin):
     got = np.sort(dense[np.abs(dense) < cut])
     assert len(got) == len(want)
     assert np.max(np.abs(got - np.array(want)), initial=0.0) <= 1e-10 * cut
+
+
+@st.composite
+def unimodular(draw):
+    """Integer (a, b, c, d) with a d - b c = 1 and entries in [-10, 10]."""
+    a, c = draw(st.tuples(st.integers(-10, 10), st.integers(-10, 10)).filter(
+        lambda pair: math.gcd(*pair) == 1))
+    rows = [(b, d) for b in range(-10, 11) for d in range(-10, 11) if a * d - b * c == 1]
+    b, d = draw(st.sampled_from(rows))
+    return a, b, c, d
+
+
+@settings(deadline=None, max_examples=200)
+@given(reduced_lattices(), st.sampled_from(SpinStructure.all_four()), unimodular())
+def test_shortest_modes_do_not_depend_on_the_basis(lat, spin, matrix):
+    """The basis a gamma1 + b gamma2, c gamma1 + d gamma2 spans the same torus and
+    carries the spin signs eps1^a eps2^b, eps1^c eps2^d: its spectrum, lambda_1^+ and
+    first mode are those of the reduced basis, though its mode indices run far out."""
+    (a, b, c, d), (g1, g2) = matrix, lat.generator_matrix()
+    image = Lattice(tuple(map(float, a * g1 + b * g2)), tuple(map(float, c * g1 + d * g2)))
+    e1, e2 = spin.eps1, spin.eps2
+    image_spin = SpinStructure(e1 ** (a % 2) * e2 ** (b % 2), e1 ** (c % 2) * e2 ** (d % 2))
+    got, want = closed_form_spectrum(image, image_spin, 12), closed_form_spectrum(lat, spin, 12)
+    assert [mult for _, mult in got] == [mult for _, mult in want]
+    for (v, _), (w, _) in zip(got, want):
+        assert v == pytest.approx(w, rel=1e-12, abs=0.0)
+    lam1 = first_positive_eigenvalue(image, image_spin)
+    assert lam1 == pytest.approx(first_positive_eigenvalue(lat, spin), rel=1e-12)
+    # Brute force over a square box holding every mode with 2 pi |xi| <= 1.25 lambda_1^+.
+    reach = 1.25 * lam1 / (2 * math.pi) * max(math.hypot(*g) for g in (image.gamma1, image.gamma2))
+    half = math.ceil(reach) + 1
+    mm, kk = np.meshgrid(np.arange(-half, half + 1), np.arange(-half, half + 1), indexing="ij")
+    radii = np.hypot(*np.moveaxis(dual_modes(image, image_spin, mm, kk), -1, 0))
+    r_min = radii[radii > 0.0].min()
+    ties = radii == r_min
+    assert first_eigenmode(image, image_spin) == min(zip(mm[ties].tolist(), kk[ties].tolist()))
