@@ -503,7 +503,6 @@ def test_very_skewed_torus_exits_2_naming_lattice(tmp_path):
     assert "configuration error: lattice: generators" in result.stderr
 
 
-
 @pytest.mark.parametrize("v1, v2, eps", [("1 0", "0 2000", "-1 +1"), ("2000 0", "0 1", "+1 -1")])
 def test_long_rectangle_spectrum_exits_0_with_lambda1_pi(tmp_path, v1, v2, eps):
     """lambda1+ = pi at xi = (+-1/2, 0), found in a search box 3 indices wide and

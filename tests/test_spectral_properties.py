@@ -198,8 +198,9 @@ def unimodular(draw):
 @given(reduced_lattices(), st.sampled_from(SpinStructure.all_four()), unimodular())
 def test_shortest_modes_do_not_depend_on_the_basis(lat, spin, matrix):
     """The basis a gamma1 + b gamma2, c gamma1 + d gamma2 spans the same torus and
-    carries the spin signs eps1^a eps2^b, eps1^c eps2^d: its spectrum, lambda_1^+ and
-    first mode are those of the reduced basis, though its mode indices run far out."""
+    carries the spin signs eps1^a eps2^b, eps1^c eps2^d: its spectrum and lambda_1^+
+    are those of the reduced basis, and its first mode is the least (|xi|, m, k) of a
+    brute-force box, though its mode indices run far out."""
     (a, b, c, d), (g1, g2) = matrix, lat.generator_matrix()
     image = Lattice(tuple(map(float, a * g1 + b * g2)), tuple(map(float, c * g1 + d * g2)))
     e1, e2 = spin.eps1, spin.eps2
