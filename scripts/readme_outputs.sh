@@ -2,7 +2,9 @@
 # Run the README command block, `solve --resume` and `surface --verify-only`
 # on the spintorus sources in SRC, inside the directory OUT; then commands
 # that read `--config` files: an INI file naming every key but out_dir, and a
-# JSON file with null tol_grad/tol_solve and an out_dir that flags override.
+# JSON file with null tol_grad/tol_solve and an out_dir that flags override;
+# last, `--help` of the program and of each subcommand at COLUMNS=80, so that
+# argparse wraps them the same on any terminal.
 #
 # The reports, solution and mesh land in OUT/out, OUT/res, OUT/ini and
 # OUT/json, the config files in OUT/run.cfg and OUT/run.json; the stdout of
@@ -69,3 +71,7 @@ cat > run.json <<'END'
 END
 run mu-curve --config run.json --grid 12 --seed 3 --eps "+1,-1" --out json/
 run solve    --config run.json --grid 12 --seed 3 --eps "+1,-1" --out json/
+
+for command in "" spectrum mu-curve solve surface check; do
+  COLUMNS=80 run $command --help
+done

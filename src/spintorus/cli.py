@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +56,10 @@ SPECTRUM_ENTRIES = 10
 
 def _resolve_config(args) -> RunConfig:
     """The config file's values with each given flag, even 0, laid over its key;
-    --eps sets both eps1 and eps2."""
-    data = (load_config(args.config) if args.config else RunConfig()).as_dict()
-    data.update((key, value) for key, value in vars(args).items()
-                if key in data and value is not None)
+    --eps sets both eps1 and eps2. Only the merged values are converted and checked."""
+    data = load_config(args.config) if args.config else {}
+    data.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                if getattr(args, f.name, None) is not None)
     if args.eps is not None:
         toks = args.eps.replace(",", " ").split()
         if len(toks) != 2:
@@ -93,7 +93,7 @@ def _write_report(cfg: RunConfig, command: str, body: dict, lines, passed: bool 
     """Write <command>_report.json: body under schema_version, command and the
     config (without out_dir, for byte-determinism). Print lines and the path;
     return the exit code."""
-    config = cfg.as_dict()
+    config = asdict(cfg)
     del config["out_dir"]
     report = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **body}
     path = _out_dir(cfg) / f"{command.replace('-', '_')}_report.json"
@@ -111,7 +111,7 @@ def _solution_threshold(sol: Solution) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    lat, spin = cfg.lattice(), cfg.spin()
+    lat, spin = cfg.torus()
     spec = _spectrum_summary(lat, spin)
     n_dense = min(cfg.n_grid, 12)
     pairs = dirac_spectrum_numeric(lat, spin, n_dense, k=10)
@@ -129,7 +129,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_mu_curve(cfg: RunConfig, args) -> int:
-    lat, spin = cfg.lattice(), cfg.spin()
+    lat, spin = cfg.torus()
     opts = MaximizeOptions(tol_grad=cfg.tol_grad)
     points = mu_curve(lat, spin, cfg.q_values, n_grid=cfg.n_grid, opts=opts, seed=cfg.seed)
     lam1 = first_positive_eigenvalue(lat.unit_area(), spin)
@@ -177,7 +177,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         sol.meta["resumed_from"] = Path(args.resume).name
         lat, spin = sol.phi.lat, sol.phi.spin
     else:
-        lat, spin = cfg.lattice(), cfg.spin()
+        lat, spin = cfg.torus()
         sol = solve_critical(lat, spin, schedule=cfg.schedule(), n_grid=cfg.n_grid)
     checks = _equation_checks(cfg, sol)
     report = {
@@ -279,44 +279,32 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="config file (key-value sections or JSON)")
+    common.add_argument("--out", dest="out_dir", help="output directory")
+    common.add_argument("--seed", type=int, help="random seed echoed in reports")
+    common.add_argument("--grid", dest="n_grid", type=int, help="grid size N (even)")
+    common.add_argument("--v1", help="lattice generator, e.g. '1 0'")
+    common.add_argument("--v2", help="lattice generator, e.g. '0 2'")
+    common.add_argument("--eps", help="holonomy signs, e.g. '+1 -1'")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="config file (key-value sections or JSON)")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed echoed in reports")
-        p.add_argument("--grid", dest="n_grid", type=int, help="grid size N (even)")
-        p.add_argument("--v1", help="lattice generator, e.g. '1 0'")
-        p.add_argument("--v2", help="lattice generator, e.g. '0 2'")
-        p.add_argument("--eps", help="holonomy signs, e.g. '+1 -1'")
-
-    p_spec = sub.add_parser("spectrum", help="closed-form and numeric Dirac spectra")
-    common(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_mu = sub.add_parser("mu-curve", help="mu_q table over a q grid")
-    common(p_mu)
-    p_mu.set_defaults(func=cmd_mu_curve)
-
-    p_solve = sub.add_parser("solve", help="subcritical continuation to p = 4")
-    common(p_solve)
-    p_solve.add_argument("--resume", help="saved solution file to re-polish")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_surf = sub.add_parser("surface", help="integrate and export the immersion")
-    common(p_surf)
-    p_surf.add_argument("--solution", required=True, help="solution JSON file")
-    p_surf.add_argument("--copies", type=lambda text: text.lower().split("x"),
-                        help="fundamental domain tiling K1xK2")
-    p_surf.add_argument(
-        "--verify-only", action="store_true", help="run checks, write no mesh"
-    )
-    p_surf.set_defaults(func=cmd_surface)
-
-    p_check = sub.add_parser("check", help="verify a saved solution end to end")
-    common(p_check)
-    p_check.add_argument("--solution", required=True, help="solution JSON file")
-    p_check.set_defaults(func=cmd_check)
+    cmd = {}
+    for name, func, text in (
+        ("spectrum", cmd_spectrum, "closed-form and numeric Dirac spectra"),
+        ("mu-curve", cmd_mu_curve, "mu_q table over a q grid"),
+        ("solve", cmd_solve, "subcritical continuation to p = 4"),
+        ("surface", cmd_surface, "integrate and export the immersion"),
+        ("check", cmd_check, "verify a saved solution end to end"),
+    ):
+        cmd[name] = sub.add_parser(name, parents=[common], help=text)
+        cmd[name].set_defaults(func=func)
+    cmd["solve"].add_argument("--resume", help="saved solution file to re-polish")
+    for name in ("surface", "check"):
+        cmd[name].add_argument("--solution", required=True, help="solution JSON file")
+    cmd["surface"].add_argument("--copies", type=lambda text: text.lower().split("x"),
+                                help="fundamental domain tiling K1xK2")
+    cmd["surface"].add_argument("--verify-only", action="store_true",
+                                help="run checks, write no mesh")
     return parser
 
 

@@ -1,14 +1,15 @@
 """Run configuration: flat key-value text with sections, or JSON.
 
-Values are converted and their keys named here; the lattice, spin structure,
-schedule and mu_curve exponents are checked by the code that uses them.
+Values are read unconverted, then converted once and their keys named here; the
+lattice, spin structure, schedule and mu_curve exponents are checked by the code
+that uses them.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .functional import check_mu_exponent
@@ -40,8 +41,7 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> "RunConfig":
-        _named("lattice", self.lattice)
-        _named("", self.spin)  # SpinStructure names eps1 or eps2 itself
+        _named("", self.torus)  # named lattice, or eps1 or eps2 by SpinStructure itself
         n = self.n_grid
         if n % 2 != 0 or not 4 <= n <= 512:
             raise ConfigError(f"n_grid: must be even and in [4, 512], got {n}")
@@ -60,14 +60,13 @@ class RunConfig:
         _named("q_values", lambda: [check_mu_exponent(q) for q in self.q_values])
         return self
 
-    def lattice(self) -> Lattice:
-        return make_lattice(self.v1, self.v2)
-
-    def spin(self) -> SpinStructure:
-        """The holonomy signs, swapped along with v1, v2 when make_lattice swaps them."""
+    def torus(self) -> tuple[Lattice, SpinStructure]:
+        """The lattice and its holonomy signs, swapped along with v1, v2 when
+        make_lattice swaps them."""
+        lat = _named("lattice", lambda: make_lattice(self.v1, self.v2))
         spin = SpinStructure(self.eps1, self.eps2)  # a bad sign is named by its own key
-        swapped = self.lattice().gamma1 != tuple(map(float, self.v1))
-        return SpinStructure(spin.eps2, spin.eps1) if swapped else spin
+        swapped = lat.gamma1 != tuple(map(float, self.v1))
+        return lat, SpinStructure(spin.eps2, spin.eps1) if swapped else spin
 
     def schedule(self) -> ContinuationSchedule:
         return ContinuationSchedule(
@@ -76,14 +75,11 @@ class RunConfig:
             tol_norm=self.tol_norm,
         )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-def _named(key: str, build) -> None:
-    """Call build(); a ValueError it raises becomes a ConfigError naming key."""
+def _named(key: str, build):
+    """build(); a ValueError it raises becomes a ConfigError naming key."""
     try:
-        build()
+        return build()
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
@@ -128,15 +124,28 @@ def _convert(key: str, value):
     return None if value is None and key in _NULLABLE else float(value)
 
 
-def load_config(path) -> RunConfig:
-    """Read a config file: a JSON object, or INI-style sections whose keys are
-    RunConfig fields (the section names only group them)."""
+def _once(pairs) -> dict:
+    """dict(pairs), refusing a key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"{key}: given twice in the config file")
+        data[key] = value
+    return data
+
+
+def load_config(path) -> dict:
+    """The unconverted values of a config file: a JSON object, or INI-style
+    sections whose keys are RunConfig fields (the section names, [DEFAULT] too,
+    only group them; values are literal, with no interpolation)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_once)
+    except ConfigError:
+        raise  # a key given twice, which the ValueError below would call a syntax error
     except ValueError as exc:
         if text.lstrip().startswith("{"):
             raise ConfigError(f"config JSON: syntax error: {exc}") from exc
@@ -144,18 +153,18 @@ def load_config(path) -> RunConfig:
         if not isinstance(data, dict):
             kind = type(data).__name__
             raise ConfigError(f"config JSON: expected an object, got {kind}")
-        return config_from_dict(data)
-    parser = configparser.ConfigParser()
+        return data
+    # No header names the empty default section, so [DEFAULT] is an ordinary one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    return config_from_dict(
-        {key: value for sec in parser.sections() for key, value in parser[sec].items()}
-    )
+    return _once(pair for sec in parser.sections() for pair in parser.items(sec))
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    """The checked RunConfig of data's unconverted values, each converted once."""
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     for key, value in data.items():

@@ -155,10 +155,7 @@ def closed_form_spectrum(
     if count < 1:
         raise ValueError("count must be >= 1")
     for radius, radii, _, _ in _modes_below(lat, spin):
-        entries = _aggregate_levels(radii)
-        # Candidate order: by |value|, negatives first on ties.
-        entries.sort(key=lambda e: (abs(e[0]), e[0]))
-        selected = entries[:count]
+        selected = _aggregate_levels(radii)[:count]
         # The last selected level must end below radius, or the cut there splits it.
         if len(selected) == count and abs(selected[-1][0]) * (1 + 1e-12) < 2.0 * math.pi * radius:
             return sorted(selected)
@@ -186,7 +183,7 @@ def _modes_below(lat: Lattice, spin: SpinStructure):
 
 
 def _aggregate_levels(radii: np.ndarray) -> list[tuple[float, int]]:
-    radii = np.sort(radii)
+    """Levels of the ascending radii, in (|value|, value) order: negatives first on ties."""
     entries: list[tuple[float, int]] = []
     i = 0
     n = len(radii)

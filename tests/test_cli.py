@@ -790,3 +790,64 @@ def test_solution_file_with_a_fractional_sign_exits_2_naming_spin(tmp_path, caps
     code = main(["check", "--solution", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert "s.json: spin: eps1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, flags, key, echoed",
+    [
+        ("run.cfg", "[run]\nn_grid = 7\n", ["--grid", "8"], "n_grid", 8),
+        ("run.json", '{"seed": -1}', ["--seed", "3"], "seed", 3),
+        ("run.json", '{"v1": [1, 0], "v2": [2, 0]}', ["--v2", "0 1"], "v2", [0.0, 1.0]),
+    ],
+    ids=["ini-grid", "json-seed", "json-v2"],
+)
+def test_a_flag_replaces_a_file_value_before_it_is_checked(tmp_path, name, text, flags, key,
+                                                           echoed):
+    from spintorus.cli import EXIT_OK, main
+
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), *flags, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "spectrum_report.json").read_text())["config"][key] == echoed
+
+
+@pytest.mark.parametrize("out_dir", ["50%done", "%(n_grid)s"])
+def test_ini_values_are_literal(tmp_path, out_dir):
+    from spintorus.cli import EXIT_OK, main
+
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[run]\nn_grid = 8\nout_dir = {tmp_path / out_dir}\n")
+    assert main(["spectrum", "--config", str(path)]) == EXIT_OK
+    assert (tmp_path / out_dir / "spectrum_report.json").is_file()
+
+
+def test_ini_default_section_is_an_ordinary_group(tmp_path):
+    from spintorus.cli import EXIT_OK, main
+
+    path = tmp_path / "run.cfg"
+    path.write_text("[DEFAULT]\nn_grid = 8\neps1 = -1\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    config = json.loads((out / "spectrum_report.json").read_text())["config"]
+    assert (config["n_grid"], config["eps1"]) == (8, -1)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("run.cfg", "[lattice]\nn_grid = 8\n[run]\nn_grid = 16\n", "n_grid: given twice"),
+        ("run.cfg", "[DEFAULT]\nn_grid = 8\n[run]\nn_grid = 16\n", "n_grid: given twice"),
+        ("run.cfg", "[run]\nn_grid = 8\nn_grid = 16\n", "option 'n_grid' in section 'run'"),
+        ("run.json", '{"n_grid": 8, "n_grid": 16}', "n_grid: given twice"),
+    ],
+    ids=["ini-sections", "ini-default", "ini-one-section", "json"],
+)
+def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, name, text, message):
+    from spintorus.cli import EXIT_VALIDATION, main
+
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err

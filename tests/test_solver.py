@@ -336,6 +336,22 @@ def test_newton_failure_names_the_unmet_norm_criterion():
     assert "residual=" not in message
 
 
+def test_newton_refuses_a_converged_non_positive_branch():
+    # The -2 pi |xi| eigenspinor (minus component negated) has constant length,
+    # so it solves the equation exactly, but with lambda < 0.
+    from spintorus.fields import eigenvector_at_mode
+    from spintorus.lattice import first_eigenmode
+
+    spin = SpinStructure(1, -1)
+    m, k = first_eigenmode(SQ, spin)
+    _, vp, vm = eigenvector_at_mode(SQ, spin, m, k)
+    init = pure_mode_field(SQ, spin, 16, m, k, vp, -vm)
+    with pytest.raises(ContinuationError) as err:
+        solve_at_exponent(4.0, init)
+    assert str(err.value) == "converged to a non-positive branch lambda=-3.142e+00 at p=4.0"
+    assert err.value.trace == []
+
+
 class _NewtonSystem(Exception):
     """Raised in place of the first MINRES solve, carrying its operator."""
 
