@@ -157,7 +157,7 @@ def load_config(path) -> dict:
     # No header names the empty default section, so [DEFAULT] is an ordinary one.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     return _once(pair for sec in parser.sections() for pair in parser.items(sec))
