@@ -3,7 +3,7 @@
 
 A solve's line ends in its Newton step count on its own grid, `steps=K`
 (summed over the stages of solve_critical), or `steps=failed`; the
-maximize_Fq line ends in its ascent iteration count, `steps=K`.
+maximize_Fq lines end in their ascent iteration counts, `steps=K`.
 
 usage: python scripts/library_outputs.py [SRC]
 
@@ -149,6 +149,13 @@ result = maximize_Fq(lat1, spin, 1.6, init)
 emit("maximize_Fq", result.phi.u.tobytes(), result.mu, result.iterations, result.grad_norm,
      result.history, steps=result.iterations)
 emit("normalize_euler_lagrange", solution(normalize_euler_lagrange(result.phi, 1.6, result.mu)))
+# An ill-conditioned ascent: the long torus whose q < 20/11 maximizer is not constant-length.
+long1, long_spin = make_lattice((1, 0), (0, 3)).unit_area(), SpinStructure(-1, 1)
+init = first_positive_eigenspinor(long1, long_spin, 32) + 0.1 * random_band_limited(
+    long1, long_spin, 32, np.random.default_rng(5))
+result = maximize_Fq(long1, long_spin, 1.6, init)
+emit("maximize_Fq/headline", result.phi.u.tobytes(), result.mu, result.iterations,
+     result.grad_norm, result.history, steps=result.iterations)
 emit("mu_curve", mu_curve(lat, spin, (1.5, 1.7, 2.0), n_grid=12, seed=2))
 
 with tempfile.TemporaryDirectory() as tmp:

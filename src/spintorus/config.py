@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .functional import check_mu_exponent
@@ -134,6 +135,17 @@ def _once(pairs) -> dict:
     return data
 
 
+class _Pairs(list):
+    """The (key, value) pairs of one JSON object, in file order."""
+
+
+def _plain(value):
+    """value with each JSON object in it made a dict by _once."""
+    if isinstance(value, _Pairs):
+        return _once((key, _plain(item)) for key, item in value)
+    return [_plain(item) for item in value] if isinstance(value, list) else value
+
+
 def load_config(path) -> dict:
     """The unconverted values of a config file: a JSON object, or INI-style
     sections whose keys are RunConfig fields (the section names, [DEFAULT] too,
@@ -143,17 +155,16 @@ def load_config(path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
     try:
-        data = json.loads(text, object_pairs_hook=_once)
-    except ConfigError:
-        raise  # a key given twice, which the ValueError below would call a syntax error
+        pairs = json.loads(text, object_pairs_hook=_Pairs)
     except ValueError as exc:
         if text.lstrip().startswith("{"):
             raise ConfigError(f"config JSON: syntax error: {exc}") from exc
     else:
-        if not isinstance(data, dict):
-            kind = type(data).__name__
+        if not isinstance(pairs, _Pairs):
+            kind = type(pairs).__name__
             raise ConfigError(f"config JSON: expected an object, got {kind}")
-        return data
+        # A key given twice inside a value is reported under the setting that holds it.
+        return {key: _named(key, partial(_plain, value)) for key, value in _once(pairs).items()}
     # No header names the empty default section, so [DEFAULT] is an ordinary one.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:

@@ -56,6 +56,9 @@ ARMIJO = 1e-4
 STEP_INIT = 1.0
 STEP_GROWTH = 1.5
 MAX_BACKTRACKS = 45
+#: Conjugate directions and the Newton first trial apply while the last accepted step
+#: gained more than this many ulp of F; below it the ascent is preconditioned steepest.
+GAIN_ULPS = 4
 #: L^2 size of the random band-limited perturbation of the mu_curve init.
 MU_CURVE_PERTURBATION = 1e-2
 
@@ -181,16 +184,30 @@ def maximize_Fq(
     num, nq, mod, grad_hat = carried(phi_hat, dphi)
     history, s = [num / nq ** (2.0 / q)], STEP_INIT  # s: the step, phi -> phi + s d
     grad_norm = math.inf  # the fresh |grad|: below tol_grad only when the loop stops on it
+    # The last accepted direction d_prev, gradient g_prev and <g_prev, z_prev>, z = |symbol|^-2 g;
+    # fast: the last accepted step gained more than GAIN_ULPS ulp of F.
+    g_prev = d_prev = None
+    gz_prev, fast = 0.0, True
     for _ in range(opts.max_iter):
         if math.sqrt(weight * np.vdot(grad_hat, grad_hat).real) < tol_grad:
             phi, mu, dphi, grad_norm = fresh(phi_hat)
             if grad_norm < tol_grad:
                 break
             num, nq, mod, grad_hat = carried(phi_hat, dphi)
-        dir_hat = inv_modulus2 * grad_hat
-        slope = weight * np.vdot(grad_hat, dir_hat).real
-        if slope <= 0.0:
+        z_hat = inv_modulus2 * grad_hat
+        gz = weight * np.vdot(grad_hat, z_hat).real
+        if gz <= 0.0:
             break
+        dir_hat, slope = z_hat, gz
+        if fast and g_prev is not None:
+            # Polak-Ribiere+ (Hager-Zhang, SIAM J. Optim. 16 (2005)), restarted by Powell's
+            # test; where that test passes, beta = (gz - g_prev_z) / gz_prev is positive.
+            g_prev_z = weight * np.vdot(g_prev, z_hat).real
+            if abs(g_prev_z) < 0.2 * gz:
+                conjugate = z_hat + (gz - g_prev_z) / gz_prev * d_prev
+                conjugate_slope = weight * np.vdot(grad_hat, conjugate).real
+                if conjugate_slope > 0.0:
+                    dir_hat, slope = conjugate, conjugate_slope
         ddir_hat = symbol * dir_hat[::-1]
         ddir = _ifft2(ddir_hat)
         # Along phi + s d the numerator is num + s b + s^2 c and |D phi|^2 gains the factor
@@ -200,6 +217,16 @@ def maximize_Fq(
         inv_mod2, ddir2, modq = pointwise_power(mod, -2.0), pointwise_norm(ddir) ** 2, mod**q
         lin = 2.0 * (dphi.real * ddir.real + dphi.imag * ddir.imag).sum(axis=0) * inv_mod2
         quad, ddir2_at_zeros = ddir2 * inv_mod2, ddir2[mod == 0.0]
+        if fast:
+            # First trial: the Newton step of F(phi + s d) = (num + s b + s^2 c) / Q(s)^(2/q),
+            # Q = ||D(phi + s d)||_q^q, from Q'(0) and Q''(0) relative to Q(0) = nq.
+            q1 = kappa * q / 2 * np.vdot(modq, lin) / nq
+            q2 = kappa * q / 2 * np.vdot(modq, (q / 2 - 1.0) * lin * lin + 2.0 * quad) / nq
+            r = -2.0 / q
+            curvature = nq**r * (2.0 * c.real + 2.0 * r * b.real * q1
+                                 + r * num * ((r - 1.0) * q1 * q1 + q2))
+            if curvature < 0.0 and math.isfinite(curvature):
+                s = min(max(-slope / curvature, s / 4), 4 * s)
         for _ in range(MAX_BACKTRACKS):
             dn = kappa * (np.vdot(modq, np.expm1(q / 2 * np.log1p(s * lin + s * s * quad)))
                           + ((s * s * ddir2_at_zeros) ** (q / 2)).sum())
@@ -207,10 +234,14 @@ def maximize_Fq(
             if trial_nq <= TOL_DEGENERATE**q:
                 raise DegenerateFieldError("iterate collapsed into ker D")
             gain = s * b.real + s * s * c.real - num * math.expm1(2.0 / q * math.log1p(dn / nq))
-            if gain / trial_nq ** (2.0 / q) >= ARMIJO * s * slope:
+            gain /= trial_nq ** (2.0 / q)
+            if gain >= ARMIJO * s * slope:
                 scale = trial_nq ** (-1.0 / q)
                 phi_hat, dphi = scale * (phi_hat + s * dir_hat), scale * (dphi + s * ddir)
                 history.append(trial_num / trial_nq ** (2.0 / q))
+                fast = gain > GAIN_ULPS * math.ulp(history[-1])
+                # The carried g and d follow phi -> scale phi: d scales with phi, g inversely.
+                g_prev, gz_prev, d_prev = grad_hat / scale, gz / scale**2, scale * dir_hat
                 num, nq, mod, grad_hat = carried(phi_hat, dphi)
                 s *= STEP_GROWTH
                 break
@@ -286,13 +317,13 @@ def mu_curve(
         check_mu_exponent(q)
     lat1 = lat.unit_area()
     rng = np.random.default_rng(seed)
-    init = first_positive_eigenspinor(lat1, spin, n_grid)
-    init = init + MU_CURVE_PERTURBATION * random_band_limited(lat1, spin, n_grid, rng)
     points: list[MuPoint] = []
-    warm = init
+    warm = first_positive_eigenspinor(lat1, spin, n_grid)
     for q in qs:
+        size = MU_CURVE_PERTURBATION * l2_norm(warm)
+        init = warm + size * random_band_limited(lat1, spin, n_grid, rng)
         try:
-            result = maximize_Fq(lat1, spin, q, warm, opts)
+            result = maximize_Fq(lat1, spin, q, init, opts)
             warm = result.phi
             points.append(MuPoint(q, result.mu, result.grad_norm, result.converged))
         except (DegenerateFieldError, IterationLimitError) as exc:

@@ -840,8 +840,10 @@ def test_ini_default_section_is_an_ordinary_group(tmp_path):
         ("run.cfg", "[DEFAULT]\nn_grid = 8\n[run]\nn_grid = 16\n", "n_grid: given twice"),
         ("run.cfg", "[run]\nn_grid = 8\nn_grid = 16\n", "option 'n_grid' in section 'run'"),
         ("run.json", '{"n_grid": 8, "n_grid": 16}', "n_grid: given twice"),
+        # A key repeated inside a value names the setting that holds it.
+        ("run.json", '{"v1": {"x": 1, "x": 2}}', "configuration error: v1: x: given twice"),
     ],
-    ids=["ini-sections", "ini-default", "ini-one-section", "json"],
+    ids=["ini-sections", "ini-default", "ini-one-section", "json", "json-nested"],
 )
 def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, name, text, message):
     from spintorus.cli import EXIT_VALIDATION, main

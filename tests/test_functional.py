@@ -301,3 +301,38 @@ def test_mu_curve_converges_on_a_long_torus():
     pts = mu_curve(lat, SpinStructure(-1, 1), [1.5, 1.6, 1.8, 2.0], n_grid=32, seed=0)
     assert pts[0].q == 1.5 and pts[0].converged
     assert pts[0].mu == pytest.approx(0.222691554376, abs=1e-10)
+
+
+def test_mu_curve_leaves_the_constant_saddle():
+    # Below q* = 20/11 the constant branch of this torus is a saddle of F_q; every
+    # warm start is perturbed, so the ascent leaves it for the larger maximizer.
+    lat = make_lattice((1, 0), (0, 3))
+    pts = mu_curve(lat, SpinStructure(-1, 1), [1.6, 1.8, 2.0], n_grid=32, seed=0)
+    assert [pt.q for pt in pts] == [1.6, 1.8, 2.0] and all(pt.converged for pt in pts)
+    assert pts[0].mu == pytest.approx(0.203181471438, abs=1e-10)
+    assert pts[1].mu == pytest.approx(0.184041806396, abs=1e-10)
+
+
+HEADLINE_TORUS = make_lattice((1, 0), (0, 3)).unit_area()
+
+
+@pytest.mark.parametrize(
+    "lat, spin, n, q, seed, mu",
+    [
+        # mu: where preconditioned steepest ascent converges, in 249, 512 and 260 iterations.
+        (HEADLINE_TORUS, SpinStructure(-1, 1), 32, 1.6, 5, 0.20318147143846468),
+        (HEADLINE_TORUS, SpinStructure(-1, 1), 32, 1.8, 5, 0.18404180639632342),
+        (ASCENT_TORUS, SpinStructure(-1, -1), 12, 1.6, None, 0.25604836630256994),
+    ],
+    ids=["headline-1.6", "headline-1.8", "ascent-torus"],
+)
+def test_conjugate_ascent_converges_in_few_iterations(lat, spin, n, q, seed, mu):
+    # seed: of the 0.1 perturbation of the eigenspinor; None takes _ascent_init.
+    if seed is None:
+        phi = _ascent_init(spin)
+    else:
+        phi = first_positive_eigenspinor(lat, spin, n)
+        phi = phi + 0.1 * random_band_limited(lat, spin, n, np.random.default_rng(seed))
+    result = maximize_Fq(lat, spin, q, phi)
+    assert result.converged and result.iterations <= 100
+    assert result.mu == pytest.approx(mu, rel=1e-12)
