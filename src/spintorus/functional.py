@@ -7,12 +7,16 @@ q = 4/3 (dual to p = 4).  Its supremum mu_q ties to the spectrum through
 mu_2 = 1/lambda_1^+ and, at q = 4/3, to the infimum of
 lambda_1^+ * area^(1/2) over the conformal class.
 
-Maximization is projected gradient ascent with Armijo backtracking:
-iterates are kept orthogonal to ker D and renormalized to ||D phi||_q = 1
-(free, by homogeneity).  The direction is the gradient preconditioned by
-the inverse squared symbol (steepest ascent in the metric where u = D phi
-is the unknown), which keeps the conditioning independent of the grid
-Nyquist scale.  The ascent carries the fft2 spectrum of phi beside D phi:
+Maximization is projected ascent with Armijo backtracking: iterates are
+kept orthogonal to ker D and renormalized to ||D phi||_q = 1 (free, by
+homogeneity).  The gradient is preconditioned by the inverse squared symbol
+(steepest ascent in the metric where u = D phi is the unknown), which keeps
+the conditioning independent of the grid Nyquist scale.  While the last
+accepted step gained more than GAIN_ULPS ulp of F, the direction is the
+preconditioned Polak-Ribiere+ one and the first trial step is the Newton
+step of the exact line model F(phi + s d); below that, where round-off
+decides the gains, the ascent is plain preconditioned steepest ascent.
+The ascent carries the fft2 spectrum of phi beside D phi:
 an iteration takes one fft2 (the gradient) and one ifft2 (D d, for the
 direction d), and line-search trials phi + s d take none, being priced
 from spectral inner products and pointwise sums.  Armijo tests the gain
@@ -59,7 +63,7 @@ MAX_BACKTRACKS = 45
 #: Conjugate directions and the Newton first trial apply while the last accepted step
 #: gained more than this many ulp of F; below it the ascent is preconditioned steepest.
 GAIN_ULPS = 4
-#: L^2 size of the random band-limited perturbation of the mu_curve init.
+#: Relative L^2 size of the random band-limited perturbation of each mu_curve start.
 MU_CURVE_PERTURBATION = 1e-2
 
 
@@ -184,8 +188,8 @@ def maximize_Fq(
     num, nq, mod, grad_hat = carried(phi_hat, dphi)
     history, s = [num / nq ** (2.0 / q)], STEP_INIT  # s: the step, phi -> phi + s d
     grad_norm = math.inf  # the fresh |grad|: below tol_grad only when the loop stops on it
-    # The last accepted direction d_prev, gradient g_prev and <g_prev, z_prev>, z = |symbol|^-2 g;
-    # fast: the last accepted step gained more than GAIN_ULPS ulp of F.
+    # d_prev, g_prev and gz_prev = <g_prev, z_prev> of the last accepted step, z = |symbol|^-2 g;
+    # fast: that step gained more than GAIN_ULPS ulp of F.
     g_prev = d_prev = None
     gz_prev, fast = 0.0, True
     for _ in range(opts.max_iter):
@@ -308,6 +312,10 @@ def mu_curve(
 ) -> list[MuPoint]:
     """mu_q estimates on the area-1 rescaled torus, warm-started downward in q.
 
+    Each start, the first eigenspinor for the largest q and the previous
+    result after it, gains MU_CURVE_PERTURBATION times its L^2 norm times a
+    band-limited field drawn from the seeded generator, so that the ascent can
+    leave a critical point (such as the constant branch) where it is a saddle.
     The sweep continues past failed entries; the table is sorted by q.
     """
     qs = sorted(set(float(q) for q in q_values), reverse=True)

@@ -336,3 +336,13 @@ def test_conjugate_ascent_converges_in_few_iterations(lat, spin, n, q, seed, mu)
     result = maximize_Fq(lat, spin, q, phi)
     assert result.converged and result.iterations <= 100
     assert result.mu == pytest.approx(mu, rel=1e-12)
+
+
+def test_trivial_spin_ascent_converges_on_a_skew_torus():
+    # Preconditioned steepest ascent ends here at |grad| 1.3e-6 after 3000
+    # iterations, gaining about 6e-14 per step.
+    lat = make_lattice((1.26849, 0), (-0.29866, 0.78834))
+    init = first_positive_eigenspinor(lat, TRIV, 24)
+    init = init + 0.1 * random_band_limited(lat, TRIV, 24, np.random.default_rng(0))
+    result = maximize_Fq(lat, TRIV, 1.5, init, MaximizeOptions(max_iter=3000))
+    assert result.converged and result.iterations <= 200
